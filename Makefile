@@ -29,9 +29,10 @@ doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
 ## Undefined-behavior check of the concurrency-bearing leaf crates:
-## the rayon pool facade, the server's cache/lock layer, and the fused
+## the rayon pool facade, the server's cache/lock layer, the fused
 ## SIMD kernels (tile executor + register borrow juggling; sizes shrink
-## automatically under cfg(miri)). Needs the Miri component
+## automatically under cfg(miri)), and the CRC-32 engine behind the
+## checksum footer (Miri runs its portable path; sizes shrink too). Needs the Miri component
 ## (`rustup +nightly component add miri`); ci/check.sh invokes this
 ## only when `cargo miri --version` works and skips cleanly otherwise,
 ## so a toolchain without Miri stays green.
@@ -39,6 +40,7 @@ miri:
 	$(CARGO) miri test -p rayon
 	$(CARGO) miri test -p cube-serve --lib cache
 	$(CARGO) miri test -p cube-algebra --test kernel_props
+	$(CARGO) miri test -p cube-xml --lib footer
 
 ## Data-race check under ThreadSanitizer. Not wired into CI (needs a
 ## nightly toolchain with rust-src and real wall-clock time); run

@@ -115,7 +115,7 @@ stage_test() {
     # package); exclude it here so its integration suites don't run twice.
     cargo test --workspace --exclude cube-suite -q
 
-    echo "== miri gate: pool facade, server cache, fused kernels (when available)"
+    echo "== miri gate: pool facade, server cache, fused kernels, CRC-32 engine (when available)"
     if cargo miri --version >/dev/null 2>&1; then
         make miri
     else

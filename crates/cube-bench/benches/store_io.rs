@@ -13,6 +13,13 @@
 //! * `store/batch_from_store/*` — a batch mean gathered straight from
 //!   pre-opened store handles ([`cube_algebra::BatchPlan`] over
 //!   [`cube_algebra::BatchOperand`]s), the serving-path workload.
+//!
+//! The `crc32` group is layer evidence for the checksum every store
+//! page, `.cube` footer and `/eval` body goes through: the bytewise
+//! table loop (the tests' oracle, restated here), the portable
+//! slicing-by-16 path and the dispatched [`cube_xml::footer::crc32`]
+//! at 4 KiB, at the 32 KiB page size and at 3 MiB, about one `/eval`
+//! response body.
 
 use std::hint::black_box;
 
@@ -90,5 +97,52 @@ fn bench_store(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, bench_store);
+/// The bytewise CRC-32 loop the engine replaced, as the baseline row.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    static TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                k += 1;
+            }
+            table[i] = c;
+            i += 1;
+        }
+        table
+    };
+    let mut c = !0u32;
+    for &b in bytes {
+        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    for (label, len) in [("4k", 4 << 10), ("32k", 32 << 10), ("3m", 3 << 20)] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 131 + i / 251) as u8).collect();
+        assert_eq!(cube_xml::footer::crc32(&bytes), crc32_bytewise(&bytes));
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::new("bytewise", label), &len, |bench, _| {
+            bench.iter(|| crc32_bytewise(black_box(&bytes)))
+        });
+        group.bench_with_input(BenchmarkId::new("portable", label), &len, |bench, _| {
+            bench.iter(|| cube_xml::footer::crc32_portable(black_box(&bytes)))
+        });
+        group.bench_with_input(BenchmarkId::new("dispatched", label), &len, |bench, _| {
+            bench.iter(|| cube_xml::footer::crc32(black_box(&bytes)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_store, bench_crc32);
 criterion_main!(benches);

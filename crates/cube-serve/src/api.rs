@@ -37,7 +37,7 @@ use cube_algebra::{
 use cube_model::Provenance;
 use cube_store::ColumnarExperiment;
 use cube_xml::footer::{crc32, footer_line};
-use cube_xml::write_experiment;
+use cube_xml::write_experiment_bytes;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
@@ -254,8 +254,7 @@ fn body_expr(req: &Request) -> Result<String, ServeError> {
 /// Renders a derived experiment exactly as `write_experiment_file`
 /// commits it to disk: the CUBE body followed by the checksum footer.
 fn render_cube_bytes(exp: &cube_model::Experiment) -> Vec<u8> {
-    let body = write_experiment(exp);
-    let mut bytes = body.into_bytes();
+    let mut bytes = write_experiment_bytes(exp);
     let line = footer_line(crc32(&bytes), bytes.len() as u64);
     bytes.extend_from_slice(line.as_bytes());
     bytes
@@ -466,8 +465,7 @@ fn eval(shared: &Shared, req: &Request, deadline: &Deadline) -> Result<Response,
     let key = parsed.canonical();
     if let Some(bytes) = lock_recover(&shared.results).get(&key) {
         return Ok(
-            Response::bytes(200, "application/cube+xml", bytes.as_ref().clone())
-                .with_header("x-cache", "hit"),
+            Response::shared(200, "application/cube+xml", bytes).with_header("x-cache", "hit")
         );
     }
     check_deadline(deadline, "resolving operands")?;
@@ -532,10 +530,7 @@ fn eval(shared: &Shared, req: &Request, deadline: &Deadline) -> Result<Response,
     let exp = plan.eval(&parsed.expr)?;
     let bytes = Arc::new(render_cube_bytes(&exp));
     lock_recover(&shared.results).insert(key, Arc::clone(&bytes));
-    Ok(
-        Response::bytes(200, "application/cube+xml", bytes.as_ref().clone())
-            .with_header("x-cache", "miss"),
-    )
+    Ok(Response::shared(200, "application/cube+xml", bytes).with_header("x-cache", "miss"))
 }
 
 /// Parses the optional flat `bind` field (`"A=id,B=id"`) of a

@@ -10,6 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bound on the request line plus headers.
@@ -147,8 +148,9 @@ pub fn read_request(
     let head_budget = head_deadline.sooner(*total);
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 1024];
+    let mut scan = HeadScan::default();
     let body_start = loop {
-        if let Some(end) = find_head_end(&head) {
+        if let Some(end) = scan.feed(&head) {
             break end;
         }
         if head.len() >= MAX_HEAD_BYTES {
@@ -226,6 +228,28 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
+/// Incremental search for the blank line that ends a request head.
+/// Each [`HeadScan::feed`] looks only at bytes it has not ruled out
+/// yet: the new ones plus the 3 before them, where a `\r\n\r\n`
+/// split across reads can begin. Scanning the whole buffer after every
+/// read instead would cost O(n²) over a head of up to
+/// [`MAX_HEAD_BYTES`].
+#[derive(Default)]
+struct HeadScan {
+    /// Length of the buffer at the previous feed.
+    seen: usize,
+}
+
+impl HeadScan {
+    /// Offset of the first body byte once `buf` (which only ever
+    /// grows between calls) holds the whole head.
+    fn feed(&mut self, buf: &[u8]) -> Option<usize> {
+        let from = self.seen.saturating_sub(3);
+        self.seen = buf.len();
+        find_head_end(&buf[from..]).map(|end| from + end)
+    }
+}
+
 /// Parsed request line + headers: `(method, path, headers)`.
 type Head = (String, String, Vec<(String, String)>);
 
@@ -269,8 +293,9 @@ pub struct Response {
     pub content_type: &'static str,
     /// Additional headers (e.g. `X-Cache`).
     pub extra: Vec<(&'static str, String)>,
-    /// Response body.
-    pub body: Vec<u8>,
+    /// Response body, shared so a cached `/eval` result is sent
+    /// straight from the result cache without a copy.
+    pub body: Arc<Vec<u8>>,
 }
 
 impl Response {
@@ -280,12 +305,18 @@ impl Response {
             status,
             content_type: "application/json",
             extra: Vec::new(),
-            body: body.into_bytes(),
+            body: Arc::new(body.into_bytes()),
         }
     }
 
     /// A response with explicit content type and raw bytes.
     pub fn bytes(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
+        Self::shared(status, content_type, Arc::new(body))
+    }
+
+    /// A response whose body is shared with its owner (the result
+    /// cache), sent without copying it.
+    pub fn shared(status: u16, content_type: &'static str, body: Arc<Vec<u8>>) -> Self {
         Self {
             status,
             content_type,
@@ -367,6 +398,40 @@ mod tests {
     fn finds_head_end_only_on_blank_line() {
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
+    }
+
+    /// Feeds `head ++ body` in three chunks split at every pair of
+    /// positions, including splits inside the `\r\n\r\n` itself, and
+    /// checks the body offset is reported exactly once, at the feed
+    /// that completes the terminator, and at the right place.
+    #[test]
+    fn head_scan_finds_a_straddling_terminator_exactly_once() {
+        let msg = b"POST /eval HTTP/1.1\r\nContent-Length: 4\r\n\r\nmean";
+        let body_start = msg.len() - 4;
+        for a in 0..=msg.len() {
+            for b in a..=msg.len() {
+                let mut scan = HeadScan::default();
+                let mut buf = Vec::new();
+                let mut found = Vec::new();
+                for end in [a, b, msg.len()] {
+                    buf.extend_from_slice(&msg[buf.len()..end]);
+                    if found.is_empty() {
+                        if let Some(at) = scan.feed(&buf) {
+                            found.push((end, at));
+                        }
+                    } else {
+                        // Once found the caller stops; a further feed
+                        // must not find a second terminator.
+                        assert_eq!(scan.feed(&buf), None, "split {a}/{b}");
+                    }
+                }
+                let first_complete = [a, b, msg.len()]
+                    .into_iter()
+                    .find(|&end| end >= body_start)
+                    .unwrap();
+                assert_eq!(found, vec![(first_complete, body_start)], "split {a}/{b}");
+            }
+        }
     }
 
     #[test]

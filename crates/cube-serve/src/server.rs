@@ -1,8 +1,10 @@
 //! The threaded server: acceptor, bounded admission queue, worker
 //! pool, and graceful shutdown.
 //!
-//! One `std::thread` acceptor polls a nonblocking listener and admits
-//! connections into a bounded queue; `workers` long-lived threads
+//! One `std::thread` acceptor waits for the listener to become
+//! readable (`poll(2)`, with a short timeout so the stop flag and
+//! signals are still seen), accepts every pending connection and
+//! admits each into a bounded queue; `workers` long-lived threads
 //! drain it. When the queue is full the *acceptor* answers 429
 //! immediately — overload sheds load in microseconds instead of
 //! stacking latency, and a client can always distinguish "busy" from
@@ -274,6 +276,10 @@ impl Drop for RunningServer {
     }
 }
 
+/// Longest the acceptor blocks waiting for a connection before it
+/// looks at the stop flag and the signal flag again.
+const ACCEPT_WAIT_MS: i32 = 10;
+
 fn accept_loop(shared: &Shared, listener: &TcpListener) {
     loop {
         if shared.stop.load(Ordering::SeqCst) || signaled() {
@@ -282,7 +288,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
         match listener.accept() {
             Ok((stream, _)) => admit(shared, stream),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+                wait_readable(listener, ACCEPT_WAIT_MS);
             }
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
@@ -291,6 +297,45 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
     queue.closed = true;
     drop(queue);
     shared.ready.notify_all();
+}
+
+/// Blocks until `listener` has a connection to accept or `timeout_ms`
+/// passes, whichever is first. A signal interrupting the wait just
+/// returns early; the caller re-checks its flags either way. `std`
+/// already links libc, so the raw `poll(2)` binding adds no
+/// dependency — the same pattern as [`install_signal_handlers`].
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener, timeout_ms: i32) {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `fd` is one valid, exclusively borrowed pollfd for the
+    // duration of the call, and the listener keeps the descriptor open.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener, _timeout_ms: i32) {
+    std::thread::sleep(Duration::from_millis(2));
 }
 
 fn admit(shared: &Shared, mut stream: TcpStream) {

@@ -22,40 +22,23 @@ use std::io::{self, Write};
 /// Marker that opens the checksum footer comment.
 pub(crate) const FOOTER_PREFIX: &str = "<!-- cube:crc32 ";
 
-/// CRC-32 lookup table for the reflected IEEE polynomial `0xEDB88320`.
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static TABLE: [u32; 256] = make_table();
-
-fn update(state: u32, bytes: &[u8]) -> u32 {
-    let mut c = state;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    c
-}
+mod crc;
 
 /// CRC-32 (IEEE, reflected, init and xor-out `0xFFFFFFFF`) of `bytes`.
+///
+/// The one function behind every checksum in the workspace. It folds
+/// with PCLMULQDQ on x86_64 CPUs that have it and runs a portable
+/// slicing-by-16 loop elsewhere; both give the same value for every
+/// input.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !update(!0, bytes)
+    !crc::update(!0, bytes)
+}
+
+/// [`crc32`] on the portable slicing-by-16 path, whatever the CPU.
+/// Same value as [`crc32`] for every input; exposed so benchmarks can
+/// set the two paths side by side.
+pub fn crc32_portable(bytes: &[u8]) -> u32 {
+    !crc::portable(!0, bytes)
 }
 
 /// A [`Write`] adapter that forwards to an inner writer while tracking
@@ -102,7 +85,7 @@ impl<W: Write> Crc32Writer<W> {
 impl<W: Write> Write for Crc32Writer<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
-        self.state = update(self.state, &buf[..n]);
+        self.state = crc::update(self.state, &buf[..n]);
         self.len += n as u64;
         Ok(n)
     }
@@ -197,6 +180,31 @@ mod tests {
         assert_eq!(w.crc(), crc32(b"123456789"));
         assert_eq!(w.len(), 9);
         assert_eq!(w.into_inner(), b"123456789");
+    }
+
+    #[test]
+    fn writer_split_at_seeded_points_matches_one_shot() {
+        let bytes: Vec<u8> = (0..20_000u32).map(|i| (i * 31 + i / 7) as u8).collect();
+        let expected = crc32(&bytes);
+        let mut s = 0x5EED_u64;
+        let rounds = if cfg!(miri) { 2 } else { 16 };
+        for _ in 0..rounds {
+            let mut w = Crc32Writer::new(Vec::new());
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                // LCG split points: mostly short pieces, some long
+                // enough to take the folding path.
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let cap = if s >> 63 == 0 { 64 } else { 4096 };
+                let take = ((s >> 33) as usize % cap + 1).min(rest.len());
+                w.write_all(&rest[..take]).unwrap();
+                rest = &rest[take..];
+            }
+            assert_eq!(w.crc(), expected);
+            assert_eq!(w.len(), bytes.len() as u64);
+        }
     }
 
     #[test]

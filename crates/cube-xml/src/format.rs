@@ -46,14 +46,20 @@ pub const FORMAT_VERSION: &str = "1.0";
 /// pre-sized buffer; no intermediate element tree or per-row strings
 /// are built.
 pub fn write_experiment(exp: &Experiment) -> String {
+    String::from_utf8(write_experiment_bytes(exp)).expect("writer emits UTF-8 only")
+}
+
+/// [`write_experiment`] as raw bytes, for callers that send or hash
+/// the document rather than read it as text: the same bytes, without
+/// the UTF-8 re-validation pass over them.
+pub fn write_experiment_bytes(exp: &Experiment) -> Vec<u8> {
     let (nm, nc, nt) = exp.severity().shape();
     // Rough pre-size: ~20 bytes per severity cell covers typical
     // shortest-float text plus markup; metadata is small next to that.
     let hint = 4096 + nm * nc * nt * 20;
-    let bytes = crate::writer::CubeWriter::new(Vec::with_capacity(hint))
+    crate::writer::CubeWriter::new(Vec::with_capacity(hint))
         .write(exp)
-        .expect("writing to a Vec cannot fail");
-    String::from_utf8(bytes).expect("writer emits UTF-8 only")
+        .expect("writing to a Vec cannot fail")
 }
 
 /// Serializes an experiment into a `.cube` XML string by building a
@@ -151,24 +157,31 @@ pub fn write_experiment_file_with(
 /// Streams the document into `path` directly (no staging), flushing
 /// and syncing before returning so no buffered block can be silently
 /// dropped at [`std::io::BufWriter`] drop time.
+///
+/// The checksum writer sits *inside* the buffer, so the CRC sees
+/// whole buffered blocks rather than every tag and row piece on its
+/// own; the buffer is flushed before its count and CRC are read.
 fn write_file_direct(exp: &Experiment, path: &Path, checksum: bool) -> Result<(), XmlError> {
     use std::io::Write as _;
     let err = |e: std::io::Error| XmlError::io_at(path, e);
     let file = std::fs::File::create(path).map_err(err)?;
-    let out = Crc32Writer::new(std::io::BufWriter::new(file));
+    let out = std::io::BufWriter::new(Crc32Writer::new(file));
     let mut out = match crate::writer::CubeWriter::new(out).write(exp) {
         Ok(out) => out,
         Err(XmlError::Io { source, .. }) => return Err(err(source)),
         Err(e) => return Err(e),
     };
+    out.flush().map_err(err)?;
     if checksum {
-        let line = footer_line(out.crc(), out.len());
+        let summed = out.get_ref();
+        let line = footer_line(summed.crc(), summed.len());
         // The footer itself is outside the checksummed region.
-        out.get_mut().write_all(line.as_bytes()).map_err(err)?;
+        out.write_all(line.as_bytes()).map_err(err)?;
     }
-    let mut buf = out.into_inner();
-    buf.flush().map_err(err)?;
-    let file = buf.into_inner().map_err(|e| err(e.into_error()))?;
+    let file = out
+        .into_inner()
+        .map_err(|e| err(e.into_error()))?
+        .into_inner();
     file.sync_all().map_err(err)?;
     Ok(())
 }

@@ -81,8 +81,8 @@ pub use footer::FooterStatus;
 pub use format::{
     read_experiment, read_experiment_file, read_experiment_salvage, read_experiment_salvage_as,
     read_experiment_salvage_file, read_experiment_salvage_file_as, read_experiment_salvage_with,
-    write_experiment, write_experiment_file, write_experiment_file_with, SalvageReport,
-    WriteOptions,
+    write_experiment, write_experiment_bytes, write_experiment_file, write_experiment_file_with,
+    SalvageReport, WriteOptions,
 };
 pub use lint::{lint_file, lint_read, lint_str, read_experiment_strict};
 pub use reader::{CubeReader, ReadLimits};
