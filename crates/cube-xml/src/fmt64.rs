@@ -781,6 +781,16 @@ mod tests {
         ] {
             check(v);
         }
+        // Exact decimal ties at the shortest length: `{}` rounds them
+        // up, where the reference Ryu rounds to even.
+        for (bits, want) in [
+            (0x3e60_0000_0000_0000, "0.000000029802322387695313"),
+            (0x431f_003b_d0f7_0bad, "2181495296738027.3"),
+        ] {
+            let v = f64::from_bits(bits);
+            assert_eq!(fast(v), want, "bits {bits:#018x}");
+            check(v);
+        }
         // Powers of ten and of two across the whole range.
         for p in -308..=308 {
             check(format!("1e{p}").parse::<f64>().unwrap());
@@ -807,6 +817,37 @@ mod tests {
             }
             check(v);
             checked += 1;
+        }
+    }
+
+    /// Values whose shortest decimal lands on an exact tie: small
+    /// odd multiples of every power of two, and integers plus a quarter
+    /// fraction in `[2^50, 2^53)` (where the quarter needs a 17th digit
+    /// that is exactly a 5).
+    fn tie_dense(seed: u64, quarters: usize) -> impl Iterator<Item = f64> {
+        let powers =
+            (1..64u32).flat_map(|m| (-1074..=1023).map(move |p| f64::from(m) * 2f64.powi(p)));
+        let mut x = seed;
+        let quarter = (0..quarters).map(move |_| {
+            x = splitmix(x);
+            let n = (1u64 << 50) + (x >> 14) % ((1 << 53) - (1 << 50));
+            n as f64 + [0.25, 0.5, 0.75][(x & 3) as usize % 3]
+        });
+        powers.filter(|v| v.is_finite()).chain(quarter)
+    }
+
+    fn splitmix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn matches_std_on_tie_dense_values() {
+        for v in tie_dense(7, 20_000) {
+            check(v);
+            check(-v);
         }
     }
 
