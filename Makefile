@@ -31,8 +31,10 @@ doc:
 ## Undefined-behavior check of the concurrency-bearing leaf crates:
 ## the rayon pool facade, the server's cache/lock layer, the fused
 ## SIMD kernels (tile executor + register borrow juggling; sizes shrink
-## automatically under cfg(miri)), and the CRC-32 engine behind the
-## checksum footer (Miri runs its portable path; sizes shrink too). Needs the Miri component
+## automatically under cfg(miri)), the CRC-32 engine behind the
+## checksum footer (Miri runs its portable path; sizes shrink too), and
+## the shortest-float formatter (its two tiers write through
+## `from_utf8_unchecked`; sweep sizes shrink too). Needs the Miri component
 ## (`rustup +nightly component add miri`); ci/check.sh invokes this
 ## only when `cargo miri --version` works and skips cleanly otherwise,
 ## so a toolchain without Miri stays green.
@@ -41,6 +43,7 @@ miri:
 	$(CARGO) miri test -p cube-serve --lib cache
 	$(CARGO) miri test -p cube-algebra --test kernel_props
 	$(CARGO) miri test -p cube-xml --lib footer
+	$(CARGO) miri test -p cube-xml --lib fmt64
 
 ## Data-race check under ThreadSanitizer. Not wired into CI (needs a
 ## nightly toolchain with rust-src and real wall-clock time); run

@@ -3,7 +3,8 @@
 # regressions are attributable to a subsystem at a glance:
 #
 #   build   tier-1 release build + the release binaries later stages use
-#   test    tier-1 tests, the full workspace suites, miri (if installed)
+#   test    tier-1 tests, the full workspace suites, the release-mode
+#           fmt64 differential sweep, miri (if installed)
 #   lint    fmt/clippy/doc hygiene, panic-free server sources, the lint
 #           and check corpora
 #   store   recovery corpus, thread-count determinism, .cubec-vs-XML
@@ -115,7 +116,10 @@ stage_test() {
     # package); exclude it here so its integration suites don't run twice.
     cargo test --workspace --exclude cube-suite -q
 
-    echo "== miri gate: pool facade, server cache, fused kernels, CRC-32 engine (when available)"
+    echo "== fmt64 sweep: 20M values byte-identical to std's {} (release)"
+    cargo test --release -q -p cube-xml --lib fmt64::tests::sweep -- --ignored
+
+    echo "== miri gate: pool facade, server cache, fused kernels, CRC-32 engine, fmt64 (when available)"
     if cargo miri --version >/dev/null 2>&1; then
         make miri
     else

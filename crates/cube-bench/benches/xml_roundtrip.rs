@@ -11,6 +11,12 @@
 //! pipeline: allocations live during the call beyond its inputs and
 //! retained result. Streaming should stay O(row); the DOM holds the
 //! whole element tree.
+//!
+//! The synthetic severities are quantized to timer resolution, so the
+//! shape rows exercise the formatter's fixed-notation tier only.
+//! `write-stream/derived` writes the `mean` of five such runs instead,
+//! whose values need the shortest-digit tier, and the `fmt64` group
+//! times the formatter alone on the three value classes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -18,7 +24,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use cube_algebra::ops;
 use cube_bench::{synthetic_experiment, SyntheticShape};
+use cube_model::Experiment;
+use cube_xml::fmt64::push_f64;
 
 // ---------------------------------------------------------------------------
 // counting allocator (measurement only; never used inside timed loops)
@@ -144,8 +153,73 @@ fn bench_xml(c: &mut Criterion) {
             bench.iter(|| cube_xml::format::read_experiment_dom(black_box(&text)).unwrap())
         });
     }
+
+    // A derived experiment, as `cube mean` and `/eval` write them.
+    let runs: Vec<Experiment> = (0..5)
+        .map(|seed| synthetic_experiment(shape(8), seed))
+        .collect();
+    let mean = ops::mean(&runs.iter().collect::<Vec<_>>()).unwrap();
+    let text = cube_xml::write_experiment(&mean);
+    assert_eq!(
+        text,
+        cube_xml::format::write_experiment_dom(&mean),
+        "the fast formatter must match std's on derived values"
+    );
+    group.throughput(Throughput::Bytes(text.len() as u64));
+    group.bench_function(BenchmarkId::new("write-stream", "derived"), |bench| {
+        bench.iter(|| cube_xml::write_experiment(black_box(&mean)))
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_xml);
+/// Values per `fmt64` iteration.
+const FMT_VALUES: usize = 4096;
+
+fn bench_fmt64(c: &mut Criterion) {
+    let mut state = 1u64;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut quantized = || ((unit() * 10.0 - 2.0) * 1e6).round() / 1e6;
+    let classes: [(&str, Vec<f64>); 3] = [
+        // Timer-resolution data: the fixed-notation tier.
+        ("quantized", (0..FMT_VALUES).map(|_| quantized()).collect()),
+        // Means of five such values, the common derived shape.
+        (
+            "derived",
+            (0..FMT_VALUES)
+                .map(|_| (0..5).map(|_| quantized()).sum::<f64>() / 5.0)
+                .collect(),
+        ),
+        // Full-precision values from arbitrary arithmetic.
+        (
+            "random",
+            (0..FMT_VALUES).map(|_| unit() * 10.0 - 2.0).collect(),
+        ),
+    ];
+    let mut group = c.benchmark_group("fmt64");
+    group.throughput(Throughput::Elements(FMT_VALUES as u64));
+    let mut out = String::with_capacity(32 * FMT_VALUES);
+    for (label, values) in &classes {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(label),
+            values,
+            |bench, values| {
+                bench.iter(|| {
+                    out.clear();
+                    for &v in values {
+                        push_f64(&mut out, black_box(v));
+                    }
+                    out.len()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_xml, bench_fmt64);
 criterion_main!(benches);

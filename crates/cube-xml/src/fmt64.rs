@@ -1,33 +1,41 @@
 //! Fast shortest-round-trip `f64` formatting for severity rows.
 //!
-//! Severity sections dominate `.cube` files, and the standard
-//! library's `{}` formatting machinery is most of the streaming
-//! write's cost. [`push_f64`] replaces it with a three-tier cascade,
-//! every tier byte-identical to `{}`:
+//! Severity sections dominate `.cube` files, and formatting their
+//! values is most of the streaming write's cost. [`push_f64`] is
+//! byte-identical to `write!(out, "{v}")` and runs a two-tier cascade:
 //!
 //! 1. a fixed-notation path for values that are exact multiples of
-//!    10⁻⁶ below 2³² ([`push_fixed_micro`]) — measurement data
+//!    10⁻⁶ below 2³² (`push_fixed_micro`) — measurement data
 //!    quantized at timer resolution lands here almost always, and the
 //!    value reduces to one integer itoa;
-//! 2. the Grisu3 algorithm (Loitsch, PLDI 2010, as hardened in
-//!    double-conversion): 64-bit fixed-point digit generation against
-//!    the value's rounding boundaries, which either *proves* it
-//!    produced the closest shortest representation or reports failure;
-//! 3. `write!("{v}")` for non-finite values and the ≲0.5% of inputs
-//!    Grisu3 cannot certify.
+//! 2. Ryu (Adams, PLDI 2018) for every other finite value: the
+//!    value's rounding interval is scaled to a decimal power with
+//!    128-bit multiplies by a power of five, and digits are removed
+//!    while the interval still contains a shorter decimal. Ryu is
+//!    exact, so no fallback tier exists; non-finite values print as
+//!    `inf`, `-inf` and `NaN`.
 //!
-//! The format stability golden test and the differential property
-//! tests in `tests/streaming_roundtrip.rs` depend on the byte-for-byte
-//! guarantee.
+//! **Ties round up.** When the shortest decimal sits exactly halfway
+//! between two candidates (`2⁻²⁵` needs a 17th digit that is a 5
+//! followed by nothing), `{}` rounds up. The reference Ryu rounds such
+//! ties to even; this one drops that adjustment, and with it the
+//! bookkeeping of whether the removed digits were all zero, which only
+//! that adjustment read.
 //!
-//! The cached powers of ten that Grisu needs are not a baked-in table:
-//! they are computed exactly once per process with a small bignum
-//! (correctly rounded 64-bit significands of `10^k` for `k` in
-//! `-348..=340` step 8), which keeps this module self-contained and
-//! auditable. The differential tests below compare against `format!`
-//! over random bit patterns and structured corner cases.
+//! **Tables.** Ryu multiplies by 125-bit approximations of `5^i`
+//! (top bits, truncated) and of `2^L / 5^i` (`L` = bit length of `5^i`
+//! plus 124; floor plus one). They are not baked in: both are generated
+//! once per process with short arithmetic on a fixed-width bignum —
+//! `5^i` by multiplying by five, and `⌊2^N / 5^i⌋` by dividing the
+//! previous quotient by five, which is exact because
+//! `⌊⌊x/a⌋/b⌋ = ⌊x/(ab)⌋`. A right shift then yields each inverse
+//! entry, exact by the same identity. Only the entries `f64` reaches
+//! are built (291 inverse, 326 direct).
+//!
+//! The format stability golden test and the differential tests below
+//! and in `tests/streaming_roundtrip.rs` pin the byte-for-byte
+//! guarantee against the standard library's formatter.
 
-use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// Appends `v` to `out`, byte-identical to `write!(out, "{v}")`.
@@ -40,15 +48,19 @@ pub fn push_f64(out: &mut String, v: f64) {
     if push_fixed_micro(out, v) {
         return;
     }
-    if v.is_finite() {
-        let mut buf = [0u8; 40];
-        if let Some((len, k)) = grisu3(v.abs(), &mut buf) {
-            render(out, v < 0.0, &buf[..len], k);
-            return;
-        }
+    if !v.is_finite() {
+        // `{}` never signs a NaN.
+        out.push_str(if v.is_nan() {
+            "NaN"
+        } else if v > 0.0 {
+            "inf"
+        } else {
+            "-inf"
+        });
+        return;
     }
-    // Non-finite values and the rare inputs Grisu3 cannot certify.
-    let _ = write!(out, "{v}");
+    let (mantissa, exp) = shortest(v.to_bits());
+    render(out, v < 0.0, mantissa, exp);
 }
 
 /// Fast path for measurement-like values: exactly a multiple of 10⁻⁶
@@ -69,89 +81,67 @@ pub fn push_f64(out: &mut String, v: f64) {
 /// NaN, infinities, and exact zero.
 fn push_fixed_micro(out: &mut String, v: f64) -> bool {
     let a = v.abs();
-    // Zero is the caller's case; NaN must fall to the `{}` tier.
+    // Zero and NaN are the caller's cases.
     if a.is_nan() || a >= 4_294_967_296.0 || a == 0.0 {
         return false;
     }
-    let r = (a * 1e6).round();
+    // Round to nearest by the 2⁵² trick (exact below 2⁵²; here the
+    // product is below 2⁵²): `f64::round` is a libm call on baseline
+    // x86_64. Halfway products cannot pass the guard below anyway.
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let r = (a * 1e6 + TWO_52) - TWO_52;
     if r / 1e6 != a || r == 0.0 {
         return false;
     }
     let mut n = r as u64; // < 2³²·10⁶ < 2⁵³, exact
-    let mut frac = 6u32;
-    while frac > 0 && n.is_multiple_of(10) {
+    let mut k = -6;
+    while k < 0 && n.is_multiple_of(10) {
         n /= 10;
-        frac -= 1;
+        k += 1;
     }
-    // Sign + up to 10 integral digits + '.' + up to 6 fractional.
-    let mut tmp = [0u8; 24];
-    let mut i = tmp.len();
-    if frac > 0 {
-        for _ in 0..frac {
-            i -= 1;
-            tmp[i] = b'0' + (n % 10) as u8;
-            n /= 10;
-        }
-        i -= 1;
-        tmp[i] = b'.';
-    }
-    loop {
-        i -= 1;
-        tmp[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    if v < 0.0 {
-        i -= 1;
-        tmp[i] = b'-';
-    }
-    // SAFETY: `tmp[i..]` holds only ASCII bytes written above.
-    out.push_str(unsafe { std::str::from_utf8_unchecked(&tmp[i..]) });
+    render(out, v < 0.0, n, k);
     true
 }
 
-/// Renders `digits × 10^k` positionally, matching `{}`: no exponent
-/// form, no trailing `.0`, leading `0.` for pure fractions.
+/// Renders `m × 10^k` positionally, matching `{}`: no exponent form,
+/// no trailing `.0`, leading `0.` for pure fractions. `m` has no
+/// trailing zeros when `k < 0`.
 ///
-/// The common case (every severity-like magnitude) is assembled —
-/// sign included — in one stack buffer and appended with a single
-/// `push_str`; extreme exponents take the general path below.
-fn render(out: &mut String, neg: bool, digits: &[u8], k: i32) {
-    let n = digits.len();
-    let point = n as i32 + k;
-    let mut tmp = [0u8; 40];
+/// The common case (every severity-like magnitude) is assembled — sign
+/// included — in one zero-filled stack buffer, digits written straight
+/// to their final place, and appended with a single `push_str`;
+/// extreme exponents take the general path below.
+fn render(out: &mut String, neg: bool, m: u64, k: i32) {
+    let n = m.ilog10() as i32 + 1;
+    let point = n + k;
     let sign = usize::from(neg);
-    let body = if k >= 0 {
-        n + k as usize
-    } else if point > 0 {
-        n + 1
-    } else {
-        n + 2 + (-point) as usize
-    };
-    let total = sign + body;
-    if total <= tmp.len() {
-        tmp[0] = b'-';
-        let t = &mut tmp[sign..total];
-        if k >= 0 {
-            t[..n].copy_from_slice(digits);
-            t[n..].fill(b'0');
+    // Where the digits end: after the integer digits, one past them
+    // for the inserted '.', or after `0.` and the leading zeros.
+    let digits_end = sign
+        + if k >= 0 {
+            n
         } else if point > 0 {
-            let p = point as usize;
-            t[..p].copy_from_slice(&digits[..p]);
-            t[p] = b'.';
-            t[p + 1..].copy_from_slice(&digits[p..]);
+            n + 1
         } else {
-            let zeros = (-point) as usize;
-            t[0] = b'0';
-            t[1] = b'.';
-            t[2..2 + zeros].fill(b'0');
-            t[2 + zeros..].copy_from_slice(digits);
+            n + 2 - point
+        } as usize;
+    let total = digits_end + if k > 0 { k as usize } else { 0 };
+    let mut tmp = [b'0'; 40];
+    if total <= tmp.len() {
+        if neg {
+            tmp[0] = b'-';
         }
-        // SAFETY: every byte in `tmp[..total]` was written above and is
-        // ASCII — `-`, `.`, `0`, or a digit from `digits` (which
-        // `digit_gen` fills with `b'0'..=b'9'` only).
+        write_digits(m, &mut tmp[..digits_end]);
+        if point <= 0 {
+            tmp[sign + 1] = b'.'; // after the leading `0`
+        } else if k < 0 {
+            // Move the integer digits left over the '.' slot.
+            let p = sign + point as usize;
+            tmp.copy_within(sign + 1..=p, sign);
+            tmp[p] = b'.';
+        }
+        // SAFETY: every byte in `tmp[..total]` is ASCII: `-`, `.`, the
+        // `0` fill, or a digit from `write_digits`.
         out.push_str(unsafe { std::str::from_utf8_unchecked(&tmp[..total]) });
         return;
     }
@@ -159,9 +149,8 @@ fn render(out: &mut String, neg: bool, digits: &[u8], k: i32) {
     if neg {
         out.push('-');
     }
-    let digits = std::str::from_utf8(digits).expect("grisu digits are ASCII");
     if k >= 0 {
-        out.push_str(digits);
+        push_u64(out, m);
         for _ in 0..k {
             out.push('0');
         }
@@ -171,351 +160,46 @@ fn render(out: &mut String, neg: bool, digits: &[u8], k: i32) {
         for _ in 0..-point {
             out.push('0');
         }
-        out.push_str(digits);
+        push_u64(out, m);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Grisu3 core
-// ---------------------------------------------------------------------------
-
-/// A floating-point value `f × 2^e` with a full 64-bit significand.
-#[derive(Copy, Clone, Debug)]
-struct Fp {
-    f: u64,
-    e: i32,
+/// Appends `n` in decimal, byte-identical to `write!(out, "{n}")`.
+pub(crate) fn push_u64(out: &mut String, n: u64) {
+    let mut buf = [0u8; 20];
+    let start = buf.len() - n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    write_digits(n, &mut buf);
+    // SAFETY: `write_digits` fills `buf[start..]` with ASCII digits.
+    out.push_str(unsafe { std::str::from_utf8_unchecked(&buf[start..]) });
 }
 
-impl Fp {
-    fn normalize(self) -> Fp {
-        let s = self.f.leading_zeros() as i32;
-        Fp {
-            f: self.f << s,
-            e: self.e - s,
+/// Writes the decimal digits of `m` so that they end at `buf.len()`.
+fn write_digits(mut m: u64, buf: &mut [u8]) {
+    let mut i = buf.len();
+    // Eight digits per 64-bit division, then 32-bit pairs.
+    while m >= 100_000_000 {
+        let mut low = (m % 100_000_000) as u32;
+        m /= 100_000_000;
+        for _ in 0..4 {
+            i -= 2;
+            let pair = 2 * (low % 100) as usize;
+            buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+            low /= 100;
         }
     }
-
-    /// Rounded 64×64→64 high product; the ≤0.5 ulp error here plus the
-    /// ≤0.5 ulp of the cached power is the 1-unit slack `digit_gen`
-    /// carries around its intervals.
-    fn mul(self, o: Fp) -> Fp {
-        let p = u128::from(self.f) * u128::from(o.f);
-        Fp {
-            f: (p >> 64) as u64 + ((p as u64) >> 63),
-            e: self.e + o.e + 64,
-        }
-    }
-}
-
-const SIGNIFICAND_BITS: u32 = 52;
-const HIDDEN_BIT: u64 = 1 << SIGNIFICAND_BITS;
-const EXPONENT_BIAS: i32 = 1075;
-
-fn fp_of(v: f64) -> Fp {
-    let bits = v.to_bits();
-    let biased = ((bits >> SIGNIFICAND_BITS) & 0x7ff) as i32;
-    let frac = bits & (HIDDEN_BIT - 1);
-    if biased == 0 {
-        Fp {
-            f: frac,
-            e: 1 - EXPONENT_BIAS,
-        }
-    } else {
-        Fp {
-            f: frac | HIDDEN_BIT,
-            e: biased - EXPONENT_BIAS,
-        }
-    }
-}
-
-/// Normalized neighbours `(m⁻, m⁺)` of `v`'s rounding interval, both at
-/// the same binary exponent as `fp_of(v).normalize()`.
-fn boundaries(v: f64) -> (Fp, Fp) {
-    let w = fp_of(v);
-    let upper = Fp {
-        f: (w.f << 1) + 1,
-        e: w.e - 1,
-    }
-    .normalize();
-    // The lower gap is half-sized when v sits on a power of two (its
-    // predecessor lives in the binade below), except at the bottom of
-    // the subnormal range where spacing is uniform.
-    let lower = if w.f == HIDDEN_BIT && w.e > 1 - EXPONENT_BIAS {
-        Fp {
-            f: (w.f << 2) - 1,
-            e: w.e - 2,
-        }
-    } else {
-        Fp {
-            f: (w.f << 1) - 1,
-            e: w.e - 1,
-        }
-    };
-    let lower = Fp {
-        f: lower.f << (lower.e - upper.e),
-        e: upper.e,
-    };
-    (lower, upper)
-}
-
-/// Digit generation works in the window `scaled.e ∈ [ALPHA, GAMMA]`:
-/// low enough that the fractional accumulator survives ×10 steps in 64
-/// bits, high enough that the integral part fits a `u32`.
-const ALPHA: i32 = -60;
-const GAMMA: i32 = -32;
-
-/// Shortest-digit generation for finite positive `v`. On success the
-/// digits `buf[..len]` satisfy `v == digits × 10^k` exactly under
-/// round-to-nearest parsing, and they are the unique closest shortest
-/// representation (what `{}` prints). Trailing zeros are already
-/// stripped.
-fn grisu3(v: f64, buf: &mut [u8; 40]) -> Option<(usize, i32)> {
-    let w = fp_of(v).normalize();
-    let (low, high) = boundaries(v);
-    debug_assert_eq!(low.e, w.e);
-    debug_assert_eq!(high.e, w.e);
-    let (pow, dec) = cached_power(w.e);
-    let scaled_w = w.mul(pow);
-    let scaled_low = low.mul(pow);
-    let scaled_high = high.mul(pow);
-    let (mut len, kappa) = digit_gen(scaled_low, scaled_w, scaled_high, buf)?;
-    let mut k = kappa - dec;
-    // The weeding step can land on a value whose last digit is zero;
-    // the shortest form drops it (the value is unchanged).
-    while len > 1 && buf[len - 1] == b'0' {
-        len -= 1;
-        k += 1;
-    }
-    Some((len, k))
-}
-
-/// Generates the digits of `high` from most significant down, cutting
-/// as soon as the remainder fits inside the unsafe interval, then weeds
-/// the last digit toward `w`. Returns `None` when the margins cannot
-/// certify a closest shortest representation.
-fn digit_gen(low: Fp, w: Fp, high: Fp, buf: &mut [u8; 40]) -> Option<(usize, i32)> {
-    debug_assert!(low.e == w.e && w.e == high.e);
-    debug_assert!((ALPHA..=GAMMA).contains(&w.e));
-    let mut unit: u64 = 1;
-    let too_low = Fp {
-        f: low.f - unit,
-        e: low.e,
-    };
-    let too_high = Fp {
-        f: high.f + unit,
-        e: high.e,
-    };
-    let mut unsafe_interval = too_high.f - too_low.f;
-    let one = Fp {
-        f: 1u64 << -w.e,
-        e: w.e,
-    };
-    let integrals = (too_high.f >> -one.e) as u32;
-    let mut fractionals = too_high.f & (one.f - 1);
-    debug_assert!(integrals >= 1);
-
-    // The remainder at integral position j is `remaining·2^-e +
-    // fractionals`, which is smallest (= `fractionals`) after the last
-    // integral digit. So a cut inside the integral digits is possible
-    // iff `fractionals < unsafe_interval`; otherwise all integral
-    // digits can be emitted unchecked by a plain pairwise itoa.
-    if fractionals < unsafe_interval {
-        // Cold path: the shortest representation terminates within the
-        // integral digits. Quotient chain `quot[j] = integrals / 10^j`
-        // keeps every division by a constant; the digit at weight 10^j
-        // is `quot[j] - 10·quot[j+1]` and the remainder after cutting
-        // there is `integrals - quot[j]·10^j`.
-        const POWERS: [u32; 10] = [
-            1,
-            10,
-            100,
-            1_000,
-            10_000,
-            100_000,
-            1_000_000,
-            10_000_000,
-            100_000_000,
-            1_000_000_000,
-        ];
-        let mut quot = [0u32; 11];
-        quot[0] = integrals;
-        let mut digits = 1;
-        while quot[digits - 1] >= 10 {
-            quot[digits] = quot[digits - 1] / 10;
-            digits += 1;
-        }
-        let mut len = 0usize;
-        for j in (0..digits).rev() {
-            buf[len] = b'0' + (quot[j] - 10 * quot[j + 1]) as u8;
-            len += 1;
-            let remaining = integrals - quot[j] * POWERS[j];
-            let rest = (u64::from(remaining) << -one.e) + fractionals;
-            if rest < unsafe_interval {
-                let ok = round_weed(
-                    &mut buf[..len],
-                    too_high.f - w.f,
-                    unsafe_interval,
-                    rest,
-                    u64::from(POWERS[j]) << -one.e,
-                    unit,
-                );
-                return ok.then_some((len, j as i32));
-            }
-        }
-        unreachable!("rest at j = 0 equals fractionals < unsafe_interval");
-    }
-
-    let mut len = itoa_u32(integrals, buf);
-    let mut kappa = 0i32;
-
-    // Fractional digits, four per iteration: the serial dependency is
-    // `fractionals ← fractionals·10⁴ mod 2^-e` (one widening multiply
-    // per four digits instead of one per digit), with the three
-    // intra-group cut positions checked off that chain, so the cut
-    // point — and thus the emitted length — is identical to the
-    // reference one-digit-at-a-time loop.
-    //
-    // Range safety: `fractionals < one.f ≤ 2^60`, so `·10` products fit
-    // u64; the `·10⁴` step widens to u128. Each `uⱼ₊₁ = uⱼ·10` is only
-    // computed after `fⱼ ≥ uⱼ` ruled out the cut, which bounds
-    // `uⱼ < 2^60` inductively (the loop is entered with
-    // `unsafe_interval ≤ fractionals`).
-    let mask = one.f - 1;
-    let distance = too_high.f - w.f;
-    loop {
-        let y1 = fractionals * 10;
-        let f1 = y1 & mask;
-        let f2 = (f1 * 10) & mask;
-        let f3 = (f2 * 10) & mask;
-        let z = u128::from(fractionals) * 10_000;
-        let group = (z >> -one.e) as u32;
-        let next = z as u64 & mask;
-
-        let u1 = unsafe_interval * 10;
-        if f1 < u1 {
-            buf[len] = b'0' + (y1 >> -one.e) as u8;
-            len += 1;
-            let unit = unit * 10;
-            let ok = round_weed(
-                &mut buf[..len],
-                distance.wrapping_mul(unit),
-                u1,
-                f1,
-                one.f,
-                unit,
-            );
-            return ok.then_some((len, kappa - 1));
-        }
-        let u2 = u1 * 10;
-        if f2 < u2 {
-            let pair = 2 * (group / 100) as usize;
-            buf[len] = DIGIT_PAIRS[pair];
-            buf[len + 1] = DIGIT_PAIRS[pair + 1];
-            len += 2;
-            let unit = unit * 100;
-            let ok = round_weed(
-                &mut buf[..len],
-                distance.wrapping_mul(unit),
-                u2,
-                f2,
-                one.f,
-                unit,
-            );
-            return ok.then_some((len, kappa - 2));
-        }
-        let u3 = u2 * 10;
-        if f3 < u3 {
-            let lead = group / 10;
-            let pair = 2 * (lead / 10) as usize;
-            buf[len] = DIGIT_PAIRS[pair];
-            buf[len + 1] = DIGIT_PAIRS[pair + 1];
-            buf[len + 2] = b'0' + (lead % 10) as u8;
-            len += 3;
-            let unit = unit * 1000;
-            let ok = round_weed(
-                &mut buf[..len],
-                distance.wrapping_mul(unit),
-                u3,
-                f3,
-                one.f,
-                unit,
-            );
-            return ok.then_some((len, kappa - 3));
-        }
-        let hi = 2 * (group / 100) as usize;
-        let lo = 2 * (group % 100) as usize;
-        buf[len] = DIGIT_PAIRS[hi];
-        buf[len + 1] = DIGIT_PAIRS[hi + 1];
-        buf[len + 2] = DIGIT_PAIRS[lo];
-        buf[len + 3] = DIGIT_PAIRS[lo + 1];
-        len += 4;
-        fractionals = next;
-        unsafe_interval = u3 * 10;
-        unit *= 10_000;
-        kappa -= 4;
-        if fractionals < unsafe_interval {
-            let ok = round_weed(
-                &mut buf[..len],
-                distance.wrapping_mul(unit),
-                unsafe_interval,
-                fractionals,
-                one.f,
-                unit,
-            );
-            return ok.then_some((len, kappa));
-        }
-    }
-}
-
-/// Unchecked decimal emission of `x ≥ 1` into the front of `out`;
-/// returns the digit count. Used when the cut is known to fall past the
-/// integral digits, so no per-digit interval test is needed.
-fn itoa_u32(mut x: u32, out: &mut [u8; 40]) -> usize {
-    let count = if x < 100 {
-        if x < 10 {
-            1
-        } else {
-            2
-        }
-    } else if x < 10_000 {
-        if x < 1_000 {
-            3
-        } else {
-            4
-        }
-    } else if x < 1_000_000 {
-        if x < 100_000 {
-            5
-        } else {
-            6
-        }
-    } else if x < 100_000_000 {
-        if x < 10_000_000 {
-            7
-        } else {
-            8
-        }
-    } else if x < 1_000_000_000 {
-        9
-    } else {
-        10
-    };
-    let mut i = count;
-    while x >= 100 {
-        let pair = 2 * (x % 100) as usize;
-        x /= 100;
+    let mut m = m as u32;
+    while m >= 100 {
         i -= 2;
-        out[i] = DIGIT_PAIRS[pair];
-        out[i + 1] = DIGIT_PAIRS[pair + 1];
+        let pair = 2 * (m % 100) as usize;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        m /= 100;
     }
-    if x >= 10 {
-        let pair = 2 * x as usize;
-        out[0] = DIGIT_PAIRS[pair];
-        out[1] = DIGIT_PAIRS[pair + 1];
+    if m >= 10 {
+        let pair = 2 * m as usize;
+        buf[i - 2..i].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     } else {
-        out[0] = b'0' + x as u8;
+        buf[i - 1] = b'0' + m as u8;
     }
-    count
 }
 
 /// ASCII digit pairs `"00" … "99"` for two-at-a-time emission.
@@ -530,206 +214,233 @@ static DIGIT_PAIRS: [u8; 200] = {
     t
 };
 
-/// Adjusts the last generated digit toward `w` and verifies the result
-/// is the unique closest value in the safe interval (double-conversion's
-/// `RoundWeed`). `wrapping_sub` mirrors the reference's unsigned
-/// arithmetic.
-fn round_weed(
-    buf: &mut [u8],
-    distance_too_high_w: u64,
-    unsafe_interval: u64,
-    mut rest: u64,
-    ten_kappa: u64,
-    unit: u64,
-) -> bool {
-    let small = distance_too_high_w.wrapping_sub(unit);
-    let big = distance_too_high_w.wrapping_add(unit);
-    while rest < small
-        && unsafe_interval - rest >= ten_kappa
-        && (rest + ten_kappa < small || small - rest >= rest + ten_kappa - small)
-    {
-        *buf.last_mut().expect("at least one digit") -= 1;
-        rest += ten_kappa;
-    }
-    if rest < big
-        && unsafe_interval - rest >= ten_kappa
-        && (rest + ten_kappa < big || big - rest > rest + ten_kappa - big)
-    {
-        return false;
-    }
-    2 * unit <= rest && rest <= unsafe_interval.wrapping_sub(4 * unit)
-}
-
 // ---------------------------------------------------------------------------
-// cached powers of ten
+// Ryu
 // ---------------------------------------------------------------------------
 
-const CACHE_MIN_DEC: i32 = -348;
-const CACHE_STEP: i32 = 8;
+const MANTISSA_BITS: u32 = 52;
+const EXPONENT_BIAS: i32 = 1023;
+/// Bit width of every table entry's significant part.
+const POW5_BITS: i32 = 125;
+/// Entries `f64` reaches: `q ≤ 290` for `2^e2` with `e2 ≥ 0`, and
+/// `i ≤ 325` for `e2 < 0`.
+const POW5_INV_LEN: usize = 291;
+const POW5_LEN: usize = 326;
 
-fn cache() -> &'static [Fp] {
-    static TABLE: OnceLock<Vec<Fp>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        (0..87)
-            .map(|i| pow10_fp(CACHE_MIN_DEC + CACHE_STEP * i))
-            .collect()
-    })
-}
-
-/// Picks the cached power `10^dec` whose product with a value of binary
-/// exponent `e` lands in `[ALPHA, GAMMA]`; returns `(power, dec)`.
-fn cached_power(e: i32) -> (Fp, i32) {
-    // ceil((ALPHA - e - 63) · log10 2), then up to the next table slot.
-    let dk = f64::from(-61 - e) * std::f64::consts::LOG10_2 + 347.0;
-    let mut k = dk as i32;
-    if dk > f64::from(k) {
-        k += 1;
-    }
-    let index = ((k >> 3) + 1) as usize;
-    let pow = cache()[index];
-    debug_assert!((ALPHA..=GAMMA).contains(&(e + pow.e + 64)));
-    (pow, CACHE_MIN_DEC + CACHE_STEP * index as i32)
-}
-
-/// Correctly rounded `Fp` for `10^dec`, computed with exact bignum
-/// arithmetic: repeated small multiplications for `dec ≥ 0`, binary
-/// long division of a power of two for `dec < 0`. Ties cannot occur
-/// for these inputs (see the in-line arguments), so round-half-up on
-/// the cut bit is exact round-to-nearest.
-fn pow10_fp(dec: i32) -> Fp {
-    if dec >= 0 {
-        let mut big = vec![1u32];
-        for _ in 0..dec {
-            mul_small(&mut big, 10);
-        }
-        // A tie would need the cut-off bits to be 100…0; 10^dec's
-        // lowest set bit is bit `dec`, which never aligns that way for
-        // any dec with more than 64 significant bits above it.
-        let (f, shift) = top64(&big);
-        Fp { f, e: shift }
+/// Shortest decimal `mantissa × 10^exp` of a finite, nonzero `f64`
+/// given by its bits (sign ignored): the fewest digits that parse back
+/// to the same value, and among those the closest, ties rounded up.
+fn shortest(bits: u64) -> (u64, i32) {
+    let ieee_mantissa = bits & ((1 << MANTISSA_BITS) - 1);
+    let ieee_exponent = ((bits >> MANTISSA_BITS) & 0x7ff) as i32;
+    // The value is m2 · 2^e2; the extra -2 makes room for the
+    // interval's half-ulp bounds as integers (4·m2 ± 2).
+    let (m2, e2) = if ieee_exponent == 0 {
+        (ieee_mantissa, 1 - EXPONENT_BIAS - MANTISSA_BITS as i32 - 2)
     } else {
-        let mut den = vec![1u32];
-        for _ in 0..-dec {
-            mul_small(&mut den, 10);
-        }
-        // q = ⌊2^s / 10^-dec⌋ has exactly 67 bits; the division is
-        // never exact (the denominator has a factor 5), so the cut
-        // sits strictly below the true value and half-up is correct.
-        let s = bit_len(&den) + 66;
-        let q = div_pow2(s, &den);
-        let (f, shift) = top64(&q);
-        Fp {
-            f,
-            e: shift - s as i32,
-        }
-    }
-}
+        (
+            ieee_mantissa | 1 << MANTISSA_BITS,
+            ieee_exponent - EXPONENT_BIAS - MANTISSA_BITS as i32 - 2,
+        )
+    };
+    // Round-half-even parsing accepts the bounds of an even mantissa.
+    let accept_bounds = m2 & 1 == 0;
+    let mv = 4 * m2;
+    // The lower gap halves at a power of two (except subnormals).
+    let mm_shift = u64::from(ieee_mantissa != 0 || ieee_exponent <= 1);
 
-/// Top 64 bits of a nonzero bignum, rounded half-up on the first cut
-/// bit: `value ≈ f × 2^e` with `f ∈ [2^63, 2^64)`.
-fn top64(n: &[u32]) -> (u64, i32) {
-    let len = bit_len(n);
-    debug_assert!(len > 0);
-    if len <= 64 {
-        let mut f = 0u64;
-        for (i, &limb) in n.iter().enumerate().take(2) {
-            f |= u64::from(limb) << (32 * i);
+    // Scale the interval [mm, mp] around mv to a decimal power 10^e10,
+    // truncating: vm, vr, vp. For e2 ≥ 0 that divides by 5^q (times a
+    // power of two), for e2 < 0 it multiplies by 5^-(e2+q).
+    let t = tables();
+    let (q, mul, j, e10) = if e2 >= 0 {
+        let q = log10_pow2(e2) - u32::from(e2 > 3);
+        let k = POW5_BITS + pow5_bits(q as i32) - 1;
+        (q, t.inv[q as usize], -e2 + q as i32 + k, q as i32)
+    } else {
+        let q = log10_pow5(-e2) - u32::from(-e2 > 1);
+        let i = -e2 - q as i32;
+        let k = pow5_bits(i) - POW5_BITS;
+        (q, t.pow[i as usize], q as i32 - k, q as i32 + e2)
+    };
+    let mut vr = mul_shift(mv, mul, j);
+    let mut vp = mul_shift(mv + 2, mul, j);
+    let mut vm = mul_shift(mv - 1 - mm_shift, mul, j);
+    // Whether the lower bound was exact before truncation, i.e. is a
+    // candidate itself; an exact upper bound is excluded outright.
+    let mut vm_exact = false;
+    if e2 >= 0 {
+        // Dividing by 5^q was exact iff the bound has q factors of
+        // five; at most one of mm, mv, mp is a multiple of 5.
+        if q <= 21 && !mv.is_multiple_of(5) {
+            if accept_bounds {
+                vm_exact = pow5_factor(mv - 1 - mm_shift) >= q;
+            } else {
+                vp -= u64::from(pow5_factor(mv + 2) >= q);
+            }
         }
-        let s = 64 - len as i32;
-        return (f << s, -s);
-    }
-    let cut = len - 64;
-    let mut f = 0u64;
-    for i in 0..64 {
-        if get_bit(n, cut + i) {
-            f |= 1 << i;
-        }
-    }
-    let mut e = cut as i32;
-    if get_bit(n, cut - 1) {
-        f = f.wrapping_add(1);
-        if f == 0 {
-            f = 1 << 63;
-            e += 1;
-        }
-    }
-    (f, e)
-}
-
-fn mul_small(n: &mut Vec<u32>, m: u32) {
-    let mut carry = 0u64;
-    for limb in n.iter_mut() {
-        let p = u64::from(*limb) * u64::from(m) + carry;
-        *limb = p as u32;
-        carry = p >> 32;
-    }
-    if carry > 0 {
-        n.push(carry as u32);
-    }
-}
-
-fn bit_len(n: &[u32]) -> usize {
-    for (i, &limb) in n.iter().enumerate().rev() {
-        if limb != 0 {
-            return 32 * i + (32 - limb.leading_zeros() as usize);
-        }
-    }
-    0
-}
-
-fn get_bit(n: &[u32], i: usize) -> bool {
-    n.get(i / 32).is_some_and(|&limb| limb >> (i % 32) & 1 == 1)
-}
-
-/// `⌊2^s / den⌋` by restoring binary long division (init-time only).
-fn div_pow2(s: usize, den: &[u32]) -> Vec<u32> {
-    let mut q = vec![0u32; s / 32 + 1];
-    let mut rem = vec![0u32; den.len() + 1];
-    for i in (0..=s).rev() {
-        let mut carry = u32::from(i == s);
-        for limb in rem.iter_mut() {
-            let out = *limb >> 31;
-            *limb = (*limb << 1) | carry;
-            carry = out;
-        }
-        if ge(&rem, den) {
-            sub(&mut rem, den);
-            q[i / 32] |= 1 << (i % 32);
-        }
-    }
-    q
-}
-
-fn ge(a: &[u32], b: &[u32]) -> bool {
-    for i in (0..a.len().max(b.len())).rev() {
-        let x = a.get(i).copied().unwrap_or(0);
-        let y = b.get(i).copied().unwrap_or(0);
-        if x != y {
-            return x > y;
-        }
-    }
-    true
-}
-
-fn sub(a: &mut [u32], b: &[u32]) {
-    let mut borrow = 0u64;
-    for (i, limb) in a.iter_mut().enumerate() {
-        let rhs = u64::from(b.get(i).copied().unwrap_or(0)) + borrow;
-        let lhs = u64::from(*limb);
-        if lhs >= rhs {
-            *limb = (lhs - rhs) as u32;
-            borrow = 0;
+    } else if q <= 1 {
+        // Dividing by 2^q: mp = mv + 2 always has one trailing zero
+        // bit, mm has one iff mm_shift is 1.
+        if accept_bounds {
+            vm_exact = mm_shift == 1;
         } else {
-            *limb = (lhs + (1 << 32) - rhs) as u32;
-            borrow = 1;
+            vp -= 1;
         }
     }
-    debug_assert_eq!(borrow, 0, "subtraction underflow");
+
+    // Remove digits while the interval still holds a shorter decimal,
+    // then round the last removed digit (half up, as `{}` does).
+    let mut removed = 0;
+    let output = if vm_exact {
+        // Rare: the lower bound is a candidate, so track whether every
+        // digit removed from it was zero.
+        let mut last = 0;
+        while vp / 10 > vm / 10 {
+            vm_exact &= vm.is_multiple_of(10);
+            last = vr % 10;
+            (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+            removed += 1;
+        }
+        if vm_exact {
+            while vm.is_multiple_of(10) {
+                last = vr % 10;
+                (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+                removed += 1;
+            }
+        }
+        vr + u64::from((vr == vm && !vm_exact) || last >= 5)
+    } else {
+        // Common: removability is monotone in the digit count, so
+        // halving steps find it in five tries (derived means are short
+        // decimals, removing ~10 of ~17 digits). The last step taken
+        // holds the most significant removed digit, which rounds.
+        let mut round_up = false;
+        for (div, digits) in [
+            (10_000_000_000_000_000, 16),
+            (100_000_000, 8),
+            (10_000, 4),
+            (100, 2),
+            (10, 1),
+        ] {
+            if vp / div > vm / div {
+                round_up = vr % div >= div / 2;
+                (vr, vp, vm) = (vr / div, vp / div, vm / div);
+                removed += digits;
+            }
+        }
+        vr + u64::from(vr == vm || round_up)
+    };
+    (output, e10 + removed)
+}
+
+/// `⌊m · mul / 2^j⌋` for a 55-bit `m` and a 126-bit `mul` (`j > 64`).
+fn mul_shift(m: u64, mul: u128, j: i32) -> u64 {
+    let lo = u128::from(m) * (mul & u128::from(u64::MAX));
+    let hi = u128::from(m) * (mul >> 64);
+    (((lo >> 64) + hi) >> (j - 64)) as u64
+}
+
+/// Bit length of `5^e` (1 for `e = 0`); exact for `0 ≤ e ≤ 3528`.
+const fn pow5_bits(e: i32) -> i32 {
+    ((e as u32 * 1_217_359) >> 19) as i32 + 1
+}
+
+/// `⌊e · log10(2)⌋` for `0 ≤ e ≤ 1650`.
+fn log10_pow2(e: i32) -> u32 {
+    (e as u32 * 78_913) >> 18
+}
+
+/// `⌊e · log10(5)⌋` for `0 ≤ e ≤ 2620`.
+fn log10_pow5(e: i32) -> u32 {
+    (e as u32 * 732_923) >> 20
+}
+
+/// Multiplicity of the factor 5 in a nonzero `v`.
+fn pow5_factor(mut v: u64) -> u32 {
+    let mut count = 0;
+    while v.is_multiple_of(5) {
+        v /= 5;
+        count += 1;
+    }
+    count
 }
 
 // ---------------------------------------------------------------------------
-// tests
+// power-of-five tables
 // ---------------------------------------------------------------------------
+
+struct Tables {
+    /// `⌊2^(pow5_bits(i) - 1 + 125) / 5^i⌋ + 1`.
+    inv: [u128; POW5_INV_LEN],
+    /// The top 125 bits of `5^i`, truncated.
+    pow: [u128; POW5_LEN],
+}
+
+/// `2^INV_TOP` is divided by five down the table; it must reach the
+/// largest inverse entry's numerator.
+const INV_TOP: usize = (pow5_bits(POW5_INV_LEN as i32 - 1) - 1 + POW5_BITS) as usize;
+/// u32 limbs holding both `2^INV_TOP` and `5^(POW5_LEN - 1)`.
+const LIMBS: usize = INV_TOP / 32 + 1;
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(Tables::build)
+}
+
+impl Tables {
+    fn build() -> Tables {
+        let mut pow5 = [0u32; LIMBS];
+        pow5[0] = 1;
+        let mut quot = [0u32; LIMBS];
+        quot[INV_TOP / 32] = 1 << (INV_TOP % 32);
+        let mut t = Tables {
+            inv: [0; POW5_INV_LEN],
+            pow: [0; POW5_LEN],
+        };
+        for i in 0..POW5_INV_LEN.max(POW5_LEN) {
+            // Invariants: pow5 = 5^i and quot = ⌊2^INV_TOP / 5^i⌋.
+            let bits = pow5_bits(i as i32);
+            if i < POW5_LEN {
+                t.pow[i] = if bits <= POW5_BITS {
+                    bits_from(&pow5, 0) << (POW5_BITS - bits)
+                } else {
+                    bits_from(&pow5, (bits - POW5_BITS) as usize)
+                };
+            }
+            if i < POW5_INV_LEN {
+                let top = (bits - 1 + POW5_BITS) as usize;
+                t.inv[i] = bits_from(&quot, INV_TOP - top) + 1;
+            }
+            let mut carry = 0u64;
+            for limb in &mut pow5 {
+                let p = u64::from(*limb) * 5 + carry;
+                *limb = p as u32;
+                carry = p >> 32;
+            }
+            let mut rem = 0u64;
+            for limb in quot.iter_mut().rev() {
+                let cur = rem << 32 | u64::from(*limb);
+                *limb = (cur / 5) as u32;
+                rem = cur % 5;
+            }
+        }
+        t
+    }
+}
+
+/// `⌊n / 2^shift⌋` of a little-endian limb number, which the caller
+/// guarantees fits in 128 bits.
+fn bits_from(n: &[u32; LIMBS], shift: usize) -> u128 {
+    let (word, bit) = (shift / 32, shift % 32);
+    let limb = |k: usize| u128::from(n.get(word + k).copied().unwrap_or(0));
+    let low = limb(0) | limb(1) << 32 | limb(2) << 64 | limb(3) << 96;
+    if bit == 0 {
+        low
+    } else {
+        low >> bit | limb(4) << (128 - bit)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -739,6 +450,13 @@ mod tests {
         let mut s = String::new();
         push_f64(&mut s, v);
         s
+    }
+
+    /// Miri interprets every step, so the loops shrink under it.
+    const STRIDE: usize = if cfg!(miri) { 97 } else { 1 };
+
+    fn n(full: usize) -> usize {
+        full / STRIDE
     }
 
     #[track_caller]
@@ -774,6 +492,8 @@ mod tests {
             (1u64 << 53) as f64 - 1.0,
             f64::INFINITY,
             f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
             2f64.powi(-1022),
             123_456_789.123_456_79,
             0.000001,
@@ -792,12 +512,21 @@ mod tests {
             check(v);
         }
         // Powers of ten and of two across the whole range.
-        for p in -308..=308 {
+        for p in (-308..=308).step_by(STRIDE) {
             check(format!("1e{p}").parse::<f64>().unwrap());
         }
-        for p in -1074..=1023 {
+        for p in (-1074..=1023).step_by(STRIDE) {
             check(2f64.powi(p));
             check(1.5 * 2f64.powi(p));
+        }
+    }
+
+    #[test]
+    fn push_u64_matches_std() {
+        for n in [0, 1, 9, 10, 99, 100, 12_345_678, 123_456_789, u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, n);
+            assert_eq!(s, n.to_string());
         }
     }
 
@@ -807,7 +536,7 @@ mod tests {
         // class, subnormals and negatives included.
         let mut x = 0x243f_6a88_85a3_08d3u64;
         let mut checked = 0;
-        while checked < 50_000 {
+        while checked < n(50_000) {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
@@ -825,8 +554,11 @@ mod tests {
     /// fraction in `[2^50, 2^53)` (where the quarter needs a 17th digit
     /// that is exactly a 5).
     fn tie_dense(seed: u64, quarters: usize) -> impl Iterator<Item = f64> {
-        let powers =
-            (1..64u32).flat_map(|m| (-1074..=1023).map(move |p| f64::from(m) * 2f64.powi(p)));
+        let powers = (1..64u32).flat_map(|m| {
+            (-1074..=1023)
+                .step_by(STRIDE)
+                .map(move |p| f64::from(m) * 2f64.powi(p))
+        });
         let mut x = seed;
         let quarter = (0..quarters).map(move |_| {
             x = splitmix(x);
@@ -845,7 +577,7 @@ mod tests {
 
     #[test]
     fn matches_std_on_tie_dense_values() {
-        for v in tie_dense(7, 20_000) {
+        for v in tie_dense(7, n(20_000)) {
             check(v);
             check(-v);
         }
@@ -856,7 +588,7 @@ mod tests {
         // The shapes the writers actually emit: full-precision values
         // from arithmetic, plus eighth-steps from the property tests.
         let mut state = 1u64;
-        for i in 0..20_000 {
+        for i in 0..n(20_000) as i32 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -894,7 +626,7 @@ mod tests {
             3.0,
             -2.75,
         ];
-        for i in 0..5000u64 {
+        for i in 0..n(5000) as u64 {
             // Dense walk over the 10⁻⁶ grid and its neighbors in ulps.
             let g = i as f64 / 1e6;
             cases.push(g);
@@ -909,159 +641,112 @@ mod tests {
     }
 
     #[test]
-    fn cached_power_covers_every_normalized_exponent() {
-        // Normalized f64 exponents span [-1137, 960]; the scaled
-        // exponent must land in digit_gen's window for each.
-        for e in -1137..=960 {
-            let (pow, dec) = cached_power(e);
-            let scaled = e + pow.e + 64;
-            assert!(
-                (ALPHA..=GAMMA).contains(&scaled),
-                "e={e} dec={dec} scaled={scaled}"
-            );
+    fn tables_match_exact_powers_of_five() {
+        // Checked by multiplication, independently of the short
+        // division that built them: pow[i] is the truncated top of 5^i,
+        // and inv[i] - 1 = ⌊2^L / 5^i⌋.
+        let t = tables();
+        let mut pow5 = big(1);
+        for i in 0..POW5_INV_LEN.max(POW5_LEN) {
+            let bits = pow5_bits(i as i32);
+            if i < POW5_LEN {
+                let s = bits - POW5_BITS;
+                if s <= 0 {
+                    let exact = shl(&pow5, (-s) as usize);
+                    let entry = big(t.pow[i]);
+                    assert!(le(&entry, &exact) && le(&exact, &entry), "pow[{i}]");
+                } else {
+                    let s = s as usize;
+                    assert!(le(&shl(&big(t.pow[i]), s), &pow5), "pow[{i}]");
+                    assert!(!le(&shl(&big(t.pow[i] + 1), s), &pow5), "pow[{i}]");
+                }
+            }
+            if i < POW5_INV_LEN {
+                let two_l = shl(&big(1), (bits - 1 + POW5_BITS) as usize);
+                assert!(le(&mul(&big(t.inv[i] - 1), &pow5), &two_l), "inv[{i}]");
+                assert!(!le(&mul(&big(t.inv[i]), &pow5), &two_l), "inv[{i}]");
+            }
+            pow5 = mul(&pow5, &big(5));
         }
+        // Spot values from the reference implementation's tables.
+        assert_eq!(t.inv[0], (1 << 125) + 1);
+        assert_eq!(
+            t.inv[1],
+            u128::from(1_844_674_407_370_955_161u64) << 64 | 11_068_046_444_225_730_970
+        );
+        assert_eq!(t.pow[1], u128::from(1_441_151_880_758_558_720u64) << 64);
     }
 
-    #[test]
-    fn cached_powers_are_correctly_rounded_spot_checks() {
-        // 10^0 and exactly representable powers must come out exact.
-        assert_eq!(pow10_fp(0).f, 1 << 63);
-        assert_eq!(pow10_fp(0).e, -63);
-        // 10^8 has 27 bits, so its normalized form is an exact shift.
-        let p8 = pow10_fp(8);
-        assert_eq!((p8.f, p8.e), (100_000_000u64 << 37, -37));
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn timing() {
-        let mut state = 1u64;
-        let mut vals = Vec::new();
-        for _ in 0..100_000u32 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-            vals.push(unit * 10.0 - 2.0);
-        }
-        let mut buf = [0u8; 40];
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            for &v in &vals {
-                std::hint::black_box(grisu3(std::hint::black_box(v), &mut buf));
-            }
-        }
-        eprintln!(
-            "grisu3 alone: {:.1} ns/call",
-            t0.elapsed().as_nanos() as f64 / 1e6
-        );
-        let mut out = String::with_capacity(64);
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            for &v in &vals {
-                out.clear();
-                push_f64(&mut out, std::hint::black_box(v));
-                std::hint::black_box(&out);
-            }
-        }
-        eprintln!(
-            "push_f64: {:.1} ns/call",
-            t0.elapsed().as_nanos() as f64 / 1e6
-        );
-
-        // setup portion only: everything before digit_gen
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            for &v in &vals {
-                let v = std::hint::black_box(v);
-                let w = fp_of(v).normalize();
-                let (low, high) = boundaries(v);
-                let (pow, dec) = cached_power(w.e);
-                std::hint::black_box((w.mul(pow), low.mul(pow), high.mul(pow), dec));
-            }
-        }
-        eprintln!(
-            "setup only: {:.1} ns/call",
-            t0.elapsed().as_nanos() as f64 / 1e6
-        );
-
-        // cached_power alone
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            for &v in &vals {
-                let w = fp_of(std::hint::black_box(v)).normalize();
-                std::hint::black_box(cached_power(w.e));
-            }
-        }
-        eprintln!(
-            "fp+cached_power: {:.1} ns/call",
-            t0.elapsed().as_nanos() as f64 / 1e6
-        );
+    fn big(x: u128) -> Vec<u32> {
+        (0..4).map(|k| (x >> (32 * k)) as u32).collect()
     }
 
+    fn mul(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut r = vec![0u32; a.len() + b.len()];
+        for (i, &x) in a.iter().enumerate() {
+            let mut carry = 0u64;
+            for (j, &y) in b.iter().enumerate() {
+                let cur = u64::from(r[i + j]) + u64::from(x) * u64::from(y) + carry;
+                r[i + j] = cur as u32;
+                carry = cur >> 32;
+            }
+            r[i + b.len()] = carry as u32;
+        }
+        r
+    }
+
+    fn shl(a: &[u32], s: usize) -> Vec<u32> {
+        let mut pow2 = vec![0u32; s / 32 + 1];
+        pow2[s / 32] = 1 << (s % 32);
+        mul(a, &pow2)
+    }
+
+    /// `a ≤ b` for little-endian limb numbers of any lengths.
+    fn le(a: &[u32], b: &[u32]) -> bool {
+        for k in (0..a.len().max(b.len())).rev() {
+            let (x, y) = (a.get(k).unwrap_or(&0), b.get(k).unwrap_or(&0));
+            if x != y {
+                return x < y;
+            }
+        }
+        true
+    }
+
+    /// The long differential sweep, run in release mode by the CI test
+    /// stage: `cargo test --release -p cube-xml --lib
+    /// fmt64::tests::sweep -- --ignored`. About 20M values: raw bit
+    /// patterns (NaNs included), the tie-dense set, and means of six
+    /// timer-quantized values, the shape `mean` writes back.
     #[test]
-    #[ignore = "diagnostic"]
-    fn fallback_rate() {
-        let mut state = 1u64;
-        let mut buf = [0u8; 40];
-        let n = 100_000;
-        let (mut fail_full, mut fail_quant) = (0, 0);
-        let mut quant = Vec::with_capacity(n);
-        for _ in 0..n {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-            let v: f64 = unit * 10.0 - 2.0;
-            if grisu3(v.abs(), &mut buf).is_none() {
-                fail_full += 1;
-            }
-            let q = (v * 1e6).round() / 1e6;
-            quant.push(q);
-            if grisu3(q.abs(), &mut buf).is_none() {
-                fail_quant += 1;
-            }
+    #[ignore = "long; run in release mode"]
+    fn sweep_matches_std_on_20m_values() {
+        use std::fmt::Write as _;
+        let (mut got, mut want) = (String::new(), String::new());
+        let mut count = 0u64;
+        let mut compare = |v: f64| {
+            got.clear();
+            want.clear();
+            push_f64(&mut got, v);
+            write!(want, "{v}").unwrap();
+            assert_eq!(got, want, "bits {:#018x}", v.to_bits());
+            count += 1;
+        };
+        let mut x = 0x5eed_f10a7;
+        for _ in 0..n(10_000_000) {
+            x = splitmix(x);
+            compare(f64::from_bits(x));
         }
-        eprintln!("fallback full-precision: {fail_full}/{n}  quantized: {fail_quant}/{n}");
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            for &v in &quant {
-                std::hint::black_box(grisu3(std::hint::black_box(v.abs()), &mut buf));
-            }
+        for v in tie_dense(11, n(4_000_000)) {
+            compare(v);
         }
-        eprintln!(
-            "grisu3 on quantized: {:.1} ns/call",
-            t0.elapsed().as_nanos() as f64 / (10 * n) as f64
-        );
-        let mut out = String::with_capacity(64);
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            for &v in &quant {
-                out.clear();
-                push_f64(&mut out, std::hint::black_box(v));
-                std::hint::black_box(&out);
+        for _ in 0..n(6_000_000) {
+            let mut sum = 0.0;
+            for _ in 0..6 {
+                x = splitmix(x);
+                sum += (x >> 28) as f64 / 1e6;
             }
+            compare(sum / 6.0);
         }
-        eprintln!(
-            "push_f64 on quantized: {:.1} ns/call",
-            t0.elapsed().as_nanos() as f64 / (10 * n) as f64
-        );
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            for &v in &quant {
-                out.clear();
-                let _ = write!(out, "{v}");
-                std::hint::black_box(&out);
-            }
-        }
-        eprintln!(
-            "std {{}} on quantized: {:.1} ns/call",
-            t0.elapsed().as_nanos() as f64 / (10 * n) as f64
-        );
+        assert!(count >= n(20_000_000) as u64, "swept {count} values");
     }
 }

@@ -95,6 +95,9 @@ impl<W: Write> Write for Crc32Writer<W> {
     }
 }
 
+/// Longest line [`footer_line`] renders: a 20-digit length.
+pub(crate) const FOOTER_MAX_LEN: usize = 50;
+
 /// Renders the footer comment for a document of `len` bytes hashing to
 /// `crc`, newline included.
 pub fn footer_line(crc: u32, len: u64) -> String {
@@ -215,6 +218,11 @@ mod tests {
             footer_line(crc32(body.as_bytes()), body.len() as u64)
         );
         assert_eq!(check_footer(&doc), FooterStatus::Valid);
+    }
+
+    #[test]
+    fn footer_max_len_bounds_every_footer() {
+        assert_eq!(footer_line(u32::MAX, u64::MAX).len(), FOOTER_MAX_LEN);
     }
 
     #[test]

@@ -52,14 +52,53 @@ pub fn write_experiment(exp: &Experiment) -> String {
 /// [`write_experiment`] as raw bytes, for callers that send or hash
 /// the document rather than read it as text: the same bytes, without
 /// the UTF-8 re-validation pass over them.
+///
+/// The buffer is pre-sized by [`encoded_len_hint`], so appending the
+/// checksum footer afterwards does not regrow it either.
 pub fn write_experiment_bytes(exp: &Experiment) -> Vec<u8> {
-    let (nm, nc, nt) = exp.severity().shape();
-    // Rough pre-size: ~20 bytes per severity cell covers typical
-    // shortest-float text plus markup; metadata is small next to that.
-    let hint = 4096 + nm * nc * nt * 20;
-    crate::writer::CubeWriter::new(Vec::with_capacity(hint))
+    crate::writer::CubeWriter::new(Vec::with_capacity(encoded_len_hint(exp)))
         .write(exp)
         .expect("writing to a Vec cannot fail")
+}
+
+/// Capacity for `exp` rendered as `.cube` text followed by its
+/// checksum footer.
+///
+/// Severity text dominates and its width per value varies from 2 bytes
+/// (`0`) to 25 (a full-precision negative fraction), so the hint
+/// formats up to 128 evenly spaced rows exactly, markup included,
+/// extrapolates to all rows, and adds 1/16 headroom. Metadata is
+/// estimated at 96 bytes per entity.
+pub fn encoded_len_hint(exp: &Experiment) -> usize {
+    const SAMPLE_ROWS: usize = 128;
+    let md = exp.metadata();
+    let sev = exp.severity();
+    let (_, _, nt) = sev.shape();
+    let entities = md.num_metrics()
+        + md.modules().len()
+        + md.regions().len()
+        + md.call_sites().len()
+        + md.num_call_nodes()
+        + 2 * nt;
+    let rows = sev.num_rows();
+    let step = rows.div_ceil(SAMPLE_ROWS).max(1);
+    let (mut sampled, mut bytes) = (0, 0);
+    let mut text = String::new();
+    for r in (0..rows).step_by(step) {
+        sampled += 1;
+        let row = sev.row_at(r);
+        if row.iter().all(|&v| v == 0.0) {
+            continue; // the writer skips all-zero rows
+        }
+        text.clear();
+        for &v in row {
+            crate::fmt64::push_f64(&mut text, v);
+        }
+        // Separators, plus `      <row cnode="…">` and `</row>\n`.
+        bytes += text.len() + row.len() + 40;
+    }
+    let severity = (bytes * rows).div_ceil(sampled.max(1));
+    4096 + 96 * entities + severity + severity / 16 + crate::footer::FOOTER_MAX_LEN
 }
 
 /// Serializes an experiment into a `.cube` XML string by building a

@@ -67,7 +67,7 @@ pub mod dom;
 pub mod error;
 pub mod escape;
 pub mod faults;
-mod fmt64;
+pub mod fmt64;
 pub mod footer;
 pub mod format;
 pub mod lexer;
@@ -79,10 +79,10 @@ pub use dom::{Document, Element, XmlNode};
 pub use error::{LimitKind, XmlError};
 pub use footer::FooterStatus;
 pub use format::{
-    read_experiment, read_experiment_file, read_experiment_salvage, read_experiment_salvage_as,
-    read_experiment_salvage_file, read_experiment_salvage_file_as, read_experiment_salvage_with,
-    write_experiment, write_experiment_bytes, write_experiment_file, write_experiment_file_with,
-    SalvageReport, WriteOptions,
+    encoded_len_hint, read_experiment, read_experiment_file, read_experiment_salvage,
+    read_experiment_salvage_as, read_experiment_salvage_file, read_experiment_salvage_file_as,
+    read_experiment_salvage_with, write_experiment, write_experiment_bytes, write_experiment_file,
+    write_experiment_file_with, SalvageReport, WriteOptions,
 };
 pub use lint::{lint_file, lint_read, lint_str, read_experiment_strict};
 pub use reader::{CubeReader, ReadLimits};

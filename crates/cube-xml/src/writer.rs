@@ -7,10 +7,11 @@
 //! [`write_experiment_dom`](crate::format::write_experiment_dom) — the
 //! golden-bytes test in `tests/format_stability.rs` pins that.
 //!
-//! Severity rows are formatted into one reused scratch buffer, so the
-//! writer's transient memory is bounded by the longest row regardless
-//! of experiment size. Wrap the sink in a [`std::io::BufWriter`] when
-//! writing to a file; the writer issues many small `write_all` calls.
+//! Severity rows are formatted into one reused scratch buffer and
+//! written with one `write_all` each, so the writer's transient memory
+//! is bounded by the longest row regardless of experiment size. Wrap
+//! the sink in a [`std::io::BufWriter`] when writing to a file; the
+//! metadata sections issue many small `write_all` calls.
 
 use std::io;
 
@@ -394,23 +395,23 @@ impl<W: io::Write> CubeWriter<W> {
                     self.open_tag(2, "matrix", &[("metric", &m.raw().to_string())])?;
                     self.children_follow()?;
                 }
-                self.scratch.clear();
+                // The whole row, indentation to newline, goes to the
+                // sink in one `write_all`.
+                let s = &mut self.scratch;
+                s.clear();
+                s.push_str("      <row cnode=\"");
+                crate::fmt64::push_u64(s, u64::from(c.raw()));
+                s.push_str("\">");
                 for (i, v) in row.iter().enumerate() {
                     if i > 0 {
-                        self.scratch.push(' ');
+                        s.push(' ');
                     }
                     // Shortest representation, byte-identical to `{}`,
                     // keeps the f64 round-trip exact.
-                    crate::fmt64::push_f64(&mut self.scratch, *v);
+                    crate::fmt64::push_f64(s, *v);
                 }
-                self.indent(3)?;
-                write!(
-                    self.out,
-                    "<row cnode=\"{}\">{}</row>",
-                    c.raw(),
-                    self.scratch
-                )?;
-                self.out.write_all(b"\n")?;
+                s.push_str("</row>\n");
+                self.out.write_all(s.as_bytes())?;
             }
             if matrix_open {
                 self.close(2, "matrix")?;
