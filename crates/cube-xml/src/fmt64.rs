@@ -93,52 +93,79 @@ fn push_fixed_micro(out: &mut String, v: f64) -> bool {
     if r / 1e6 != a || r == 0.0 {
         return false;
     }
-    let mut n = r as u64; // < 2³²·10⁶ < 2⁵³, exact
-    let mut k = -6;
-    while k < 0 && n.is_multiple_of(10) {
-        n /= 10;
-        k += 1;
+    let n = r as u64; // < 2³²·10⁶ < 2⁵³, exact
+
+    // Sign, up to 10 integer digits, '.', six fraction digits whose
+    // trailing zeros are then dropped.
+    let mut tmp = [0u8; 18];
+    let mut start = write_digits(n / 1_000_000, &mut tmp[..11]);
+    if v < 0.0 {
+        start -= 1;
+        tmp[start] = b'-';
     }
-    render(out, v < 0.0, n, k);
+    let mut end = 11;
+    let frac = (n % 1_000_000) as usize;
+    if frac != 0 {
+        tmp[11] = b'.';
+        for (at, pair) in [
+            (12, frac / 10_000),
+            (14, frac / 100 % 100),
+            (16, frac % 100),
+        ] {
+            tmp[at..at + 2].copy_from_slice(&DIGIT_PAIRS[2 * pair..2 * pair + 2]);
+        }
+        end = 18;
+        while tmp[end - 1] == b'0' {
+            end -= 1;
+        }
+    }
+    // SAFETY: `tmp[start..end]` holds only ASCII bytes written above.
+    out.push_str(unsafe { std::str::from_utf8_unchecked(&tmp[start..end]) });
     true
 }
 
 /// Renders `m × 10^k` positionally, matching `{}`: no exponent form,
 /// no trailing `.0`, leading `0.` for pure fractions. `m` has no
-/// trailing zeros when `k < 0`.
+/// trailing zeros.
 ///
 /// The common case (every severity-like magnitude) is assembled — sign
-/// included — in one zero-filled stack buffer, digits written straight
-/// to their final place, and appended with a single `push_str`;
-/// extreme exponents take the general path below.
+/// included — in one stack buffer and appended with a single
+/// `push_str`; extreme exponents take the general path below. The
+/// digits sit right-aligned at index 20 of a `0`-padded buffer, so
+/// fixed 20-byte copies place them without a `memmove` call: the bytes
+/// a copy carries past the digits are `0` characters, which are the
+/// trailing zeros of an integer or get overwritten.
 fn render(out: &mut String, neg: bool, m: u64, k: i32) {
-    let n = m.ilog10() as i32 + 1;
-    let point = n + k;
+    let mut digits = [b'0'; 40];
+    let from = write_digits(m, &mut digits[..20]);
+    let n = 20 - from;
+    let point = n as i32 + k;
     let sign = usize::from(neg);
-    // Where the digits end: after the integer digits, one past them
-    // for the inserted '.', or after `0.` and the leading zeros.
-    let digits_end = sign
+    let total = sign
         + if k >= 0 {
-            n
+            n + k as usize
         } else if point > 0 {
             n + 1
         } else {
-            n + 2 - point
-        } as usize;
-    let total = digits_end + if k > 0 { k as usize } else { 0 };
-    let mut tmp = [b'0'; 40];
-    if total <= tmp.len() {
+            n + 2 + (-point) as usize
+        };
+    if total <= 40 {
+        let mut tmp = [b'0'; 64];
         if neg {
             tmp[0] = b'-';
         }
-        write_digits(m, &mut tmp[..digits_end]);
         if point <= 0 {
             tmp[sign + 1] = b'.'; // after the leading `0`
-        } else if k < 0 {
-            // Move the integer digits left over the '.' slot.
-            let p = sign + point as usize;
-            tmp.copy_within(sign + 1..=p, sign);
-            tmp[p] = b'.';
+            let at = total - n;
+            tmp[at..at + 20].copy_from_slice(&digits[from..from + 20]);
+        } else {
+            tmp[sign..sign + 20].copy_from_slice(&digits[from..from + 20]);
+            if k < 0 {
+                // The fraction digits move one place right of the '.'.
+                let p = point as usize;
+                tmp[sign + p] = b'.';
+                tmp[sign + p + 1..sign + p + 21].copy_from_slice(&digits[from + p..from + p + 20]);
+            }
         }
         // SAFETY: every byte in `tmp[..total]` is ASCII: `-`, `.`, the
         // `0` fill, or a digit from `write_digits`.
@@ -167,14 +194,14 @@ fn render(out: &mut String, neg: bool, m: u64, k: i32) {
 /// Appends `n` in decimal, byte-identical to `write!(out, "{n}")`.
 pub(crate) fn push_u64(out: &mut String, n: u64) {
     let mut buf = [0u8; 20];
-    let start = buf.len() - n.checked_ilog10().map_or(1, |d| d as usize + 1);
-    write_digits(n, &mut buf);
+    let start = write_digits(n, &mut buf);
     // SAFETY: `write_digits` fills `buf[start..]` with ASCII digits.
     out.push_str(unsafe { std::str::from_utf8_unchecked(&buf[start..]) });
 }
 
-/// Writes the decimal digits of `m` so that they end at `buf.len()`.
-fn write_digits(mut m: u64, buf: &mut [u8]) {
+/// Writes the decimal digits of `m` so that they end at `buf.len()`,
+/// and returns the index of the first.
+fn write_digits(mut m: u64, buf: &mut [u8]) -> usize {
     let mut i = buf.len();
     // Eight digits per 64-bit division, then 32-bit pairs.
     while m >= 100_000_000 {
@@ -197,8 +224,10 @@ fn write_digits(mut m: u64, buf: &mut [u8]) {
     if m >= 10 {
         let pair = 2 * m as usize;
         buf[i - 2..i].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        i - 2
     } else {
         buf[i - 1] = b'0' + m as u8;
+        i - 1
     }
 }
 
