@@ -871,4 +871,92 @@ mod tests {
             read_store(b"<?xml version=\"1.0\"?><cube/>", &ReadLimits::default()).unwrap_err();
         assert!(matches!(err, StoreError::Format { .. }), "{err}");
     }
+
+    /// An experiment whose metric tree and call tree are chains, of
+    /// `metric_depth` and `call_depth` levels.
+    fn chains(metric_depth: usize, call_depth: usize) -> Experiment {
+        let mut b = ExperimentBuilder::new("chains");
+        let mut metric = None;
+        for i in 0..metric_depth {
+            metric = Some(b.def_metric(format!("m{i}"), Unit::Seconds, "", metric));
+        }
+        let m = b.def_module("a.c", "/a.c");
+        let r = b.def_region("f", m, RegionKind::Function, 1, 9);
+        let cs = b.def_call_site("a.c", 1, r);
+        let mut cnode = None;
+        for _ in 0..call_depth {
+            cnode = Some(b.def_call_node(cs, cnode));
+        }
+        let ts = single_threaded_system(&mut b, 1);
+        b.set_severity(metric.unwrap(), cnode.unwrap(), ts[0], 1.5);
+        b.build().unwrap()
+    }
+
+    fn is_depth_limit(err: &StoreError) -> bool {
+        matches!(
+            err,
+            StoreError::Limit {
+                kind: LimitKind::Depth,
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn tree_depth_limit_matches_the_xml_reader() {
+        let limits = ReadLimits::default();
+        let deepest = limits.max_depth - 1;
+        let d = tmpdir("depth");
+        for (metric_depth, call_depth) in [(1, deepest), (deepest, 1)] {
+            // The deepest trees the XML reader accepts pack and unpack.
+            let exp = chains(metric_depth, call_depth);
+            let xml = cube_xml::write_experiment_bytes(&exp);
+            let text = std::str::from_utf8(&xml).unwrap();
+            let read = cube_xml::read_experiment(text).unwrap();
+            let packed = write_store(&read);
+            let back = read_store(&packed, &limits).unwrap();
+            assert_eq!(cube_xml::write_experiment_bytes(&back), xml);
+            let p = d.join("deepest.cubec");
+            std::fs::write(&p, &packed).unwrap();
+            ColumnarExperiment::open_with(&p, &limits).unwrap();
+
+            // One level deeper is rejected by every reader alike.
+            let (m, c) = if call_depth > 1 {
+                (1, deepest + 1)
+            } else {
+                (deepest + 1, 1)
+            };
+            let exp = chains(m, c);
+            let xml = cube_xml::write_experiment_bytes(&exp);
+            let Err(err) = cube_xml::read_experiment(std::str::from_utf8(&xml).unwrap()) else {
+                panic!("the XML reader accepted a tree deeper than its limit");
+            };
+            assert!(
+                matches!(
+                    err,
+                    cube_xml::XmlError::Limit {
+                        kind: LimitKind::Depth,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            let packed = write_store(&exp);
+            let Err(err) = read_store(&packed, &limits) else {
+                panic!("read_store accepted a tree deeper than the XML reader does");
+            };
+            assert!(is_depth_limit(&err), "{err}");
+            let p = d.join("deeper.cubec");
+            std::fs::write(&p, &packed).unwrap();
+            let Err(err) = ColumnarExperiment::open_with(&p, &limits) else {
+                panic!("open_with accepted a tree deeper than the XML reader does");
+            };
+            assert!(is_depth_limit(&err), "{err}");
+            assert_eq!(
+                crate::lint::lint_file(&p).codes()[0].as_str(),
+                "E201",
+                "lint reports the depth limit"
+            );
+        }
+    }
 }

@@ -5,7 +5,9 @@
 //! the linter must report (usually one — fixtures are crafted so no
 //! incidental rule fires). `tests/fixtures/valid/` must stay fully
 //! clean. The same corpus drives the CLI exit-code contract used by
-//! `ci/check.sh`.
+//! `ci/check.sh`. Damaged `.cubec` fixtures under
+//! `tests/fixtures/corrupt/` that are named after a rule (`e201_*`)
+//! carry the same kind of `.expect` and are checked here too.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -133,4 +135,35 @@ fn cli_json_output_carries_codes() {
     assert!(out.stdout.contains("\"code\":\"E016\""), "{}", out.stdout);
     assert!(out.stdout.contains("\"level\":\"error\""), "{}", out.stdout);
     assert!(out.stdout.contains("\"ok\":false"), "{}", out.stdout);
+}
+
+#[test]
+fn corrupt_store_fixtures_report_the_rule_they_are_named_after() {
+    let dir = fixture_dir("corrupt");
+    let mut named: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "cubec"))
+        .filter(|p| {
+            let stem = p.file_stem().unwrap().to_string_lossy();
+            stem.len() > 4 && stem.as_bytes()[4] == b'_' && stem.starts_with(['e', 'w'])
+        })
+        .collect();
+    named.sort();
+    assert!(
+        !named.is_empty(),
+        "no rule-named fixtures in {}",
+        dir.display()
+    );
+    for cubec in named {
+        let reported: BTreeSet<String> = cube_store::lint_file(&cubec)
+            .codes()
+            .iter()
+            .map(|c| c.as_str().to_string())
+            .collect();
+        assert_eq!(reported, expected_codes(&cubec), "{}", cubec.display());
+        let path = cubec.to_string_lossy().into_owned();
+        let out = cube_cli::run(&["lint".into(), path.clone()]).unwrap();
+        assert_eq!(out.code, 1, "{path}:\n{}", out.stdout);
+    }
 }

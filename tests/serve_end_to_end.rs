@@ -272,3 +272,74 @@ fn eval_rejects_missing_experiment_before_any_work() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Regression: a `.cubec` whose call tree is a 100,000-deep chain used
+/// to be accepted by `PUT /experiments`, after which the first `/eval`
+/// over it overflowed a worker's stack and aborted the server. The
+/// store reader now holds the metric and call trees to the depth limit
+/// the XML reader enforces, so the upload is refused with a 4xx and
+/// the server stays up.
+#[test]
+fn deep_call_tree_upload_is_refused_and_the_server_stays_up() {
+    let dir = workdir("deep");
+    let server = cube_serve::start(
+        cube_serve::ServeConfig {
+            workers: 1,
+            ..cube_serve::ServeConfig::default()
+        },
+        &dir.join("repo"),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+
+    // Assembled unchecked: validating a chain this deep is itself
+    // quadratic, and the server must refuse it before validating.
+    let mut md = cube_model::Metadata::new();
+    md.add_metric(cube_model::Metric::root(
+        "time",
+        cube_model::Unit::Seconds,
+        "",
+    ));
+    let module = md.add_module(cube_model::Module::new("a.c", "/a.c"));
+    let callee = md.add_region(cube_model::Region {
+        name: "f".into(),
+        module,
+        kind: cube_model::RegionKind::Function,
+        begin_line: 1,
+        end_line: 9,
+    });
+    let call_site = md.add_call_site(cube_model::CallSite {
+        file: "a.c".into(),
+        line: 1,
+        callee,
+    });
+    let mut parent = None;
+    for _ in 0..100_000 {
+        parent = Some(md.add_call_node(cube_model::CallNode { call_site, parent }));
+    }
+    let mach = md.add_machine(cube_model::Machine::new("virtual machine"));
+    let node = md.add_node(cube_model::SystemNode::new("virtual node", mach));
+    let rank = md.add_process(cube_model::Process::new("rank 0", 0, node));
+    md.add_thread(cube_model::Thread::new("rank 0 thread 0", 0, rank));
+    let severity = cube_model::Severity::zeros(1, 100_000, 1);
+    let exp = cube_model::Experiment::new_unchecked(
+        md,
+        severity,
+        cube_model::Provenance::original("deep chain"),
+    );
+    let bytes = cube_store::write_store(&exp);
+
+    let reply = request(addr, "PUT", "/experiments", &bytes);
+    assert!(
+        (400..500).contains(&reply.status),
+        "{} {}",
+        reply.status,
+        reply.text()
+    );
+    let health = request(addr, "GET", "/healthz", b"");
+    assert_eq!(health.status, 200, "{}", health.text());
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
