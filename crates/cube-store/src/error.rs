@@ -28,8 +28,11 @@ pub enum StoreError {
         context: String,
     },
     /// The file exceeds a configured resource limit
-    /// ([`ReadLimits`](cube_xml::ReadLimits)); only the input-size and
-    /// entity-count limits apply to the binary format.
+    /// ([`ReadLimits`](cube_xml::ReadLimits)). The input-size,
+    /// entity-count and depth limits apply to the binary format; the
+    /// depth limit bounds the metric and call trees to the depth the
+    /// XML reader accepts. The row-length limit has no binary
+    /// counterpart.
     Limit {
         /// Which limit was crossed.
         kind: LimitKind,

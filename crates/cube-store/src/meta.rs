@@ -268,13 +268,53 @@ fn decode_region_kind(code: u8) -> Result<RegionKind, StoreError> {
     }
 }
 
+/// Enforces [`ReadLimits::max_depth`] on a metric or call-node forest,
+/// given each entity's parent in id order.
+///
+/// The XML reader counts element nesting: `<cube>`, then the section
+/// element, then one open element per ancestor, while the leaf closes
+/// itself. A tree of depth `d` thus nests `d + 1` deep there, so the
+/// binary format admits trees up to `max_depth - 1` levels — exactly
+/// the ones the XML reader accepts — and the recursive tree walks
+/// downstream (the XML writer, display) stay bounded on either format.
+/// A parent at or after its child (a forward reference) is not part of
+/// the forest; [`Metadata::validate`] reports it.
+fn check_tree_depth(
+    parents: impl Iterator<Item = Option<usize>>,
+    limits: &ReadLimits,
+    what: &str,
+) -> Result<(), StoreError> {
+    let max_tree = limits.max_depth.saturating_sub(1);
+    let mut depth: Vec<usize> = Vec::new();
+    for (i, parent) in parents.enumerate() {
+        let d = match parent {
+            Some(p) if p < i => depth[p] + 1,
+            _ => 1,
+        };
+        if d > max_tree {
+            return Err(StoreError::Limit {
+                kind: LimitKind::Depth,
+                message: format!(
+                    "{what} tree depth {d} exceeds the limit of {max_tree} \
+                     (element nesting depth {})",
+                    limits.max_depth
+                ),
+            });
+        }
+        depth.push(d);
+    }
+    Ok(())
+}
+
 /// Decodes METADATA-section bytes back into metadata and provenance.
 ///
 /// Dangling cross-references (a region pointing past the module table,
 /// a cycle in a parent chain) are *not* rejected here — they surface
 /// through [`Metadata::validate`] exactly like in the XML reader, so
 /// both formats share one diagnosis path. Dictionary references and
-/// enum codes *are* checked, because nothing downstream would.
+/// enum codes *are* checked, because nothing downstream would, and so
+/// are the depths of the metric and call trees, which downstream tree
+/// walks would otherwise have to survive at any depth.
 pub fn decode_metadata(
     bytes: &[u8],
     limits: &ReadLimits,
@@ -347,6 +387,11 @@ pub fn decode_metadata(
             parent,
         });
     }
+    check_tree_depth(
+        md.metrics().iter().map(|m| m.parent.map(MetricId::index)),
+        limits,
+        "metric",
+    )?;
 
     let n = d.count("module count")?;
     for _ in 0..n {
@@ -385,6 +430,13 @@ pub fn decode_metadata(
         let parent = d.opt_id("call-node parent")?.map(CallNodeId::new);
         md.add_call_node(CallNode { call_site, parent });
     }
+    check_tree_depth(
+        md.call_nodes()
+            .iter()
+            .map(|c| c.parent.map(CallNodeId::index)),
+        limits,
+        "call",
+    )?;
 
     let n = d.count("machine count")?;
     for _ in 0..n {
