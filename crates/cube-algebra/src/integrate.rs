@@ -22,19 +22,45 @@
 //!   operand or collapsed to a single machine with a single node; the
 //!   default collapses exactly when the partitioning of processes into
 //!   nodes is incompatible between the operands.
+//!
+//! The metric and program merge runs over hash indexes of the
+//! integrated tables, shared by all operands:
+//!
+//! | index | key |
+//! |---|---|
+//! | metrics | integrated parent, name, unit |
+//! | modules | name |
+//! | regions | name, module name |
+//! | call sites | integrated callee region, plus file and line under [`CallSiteEq::Strict`] |
+//! | call nodes | integrated parent, integrated call site |
+//!
+//! Entities are only ever appended when their key is absent, so each
+//! key names exactly one integrated entity, the first one inserted
+//! under it — the entity a scan of the tables in id order would find
+//! first. Keys borrow their strings from the operand that defined the
+//! entity, so a lookup allocates nothing. Each operand's forests are
+//! walked once, in pre-order, with an explicit stack: integration costs
+//! one hash probe per entity, O(n) in the size of the operands, and its
+//! stack use does not grow with tree depth. An operand whose metadata
+//! equals an earlier operand's is not walked at all: every key of its
+//! walk is present already, so it would reproduce the earlier map, and
+//! it takes a copy of that map instead.
 
 use std::collections::HashMap;
 
 use cube_model::{
     CallNode, CallNodeId, CallSite, CallSiteId, Experiment, Machine, Metadata, Metric, MetricId,
-    Module, ModuleId, Process, Region, RegionId, SystemNode, Thread,
+    Module, ModuleId, Process, Region, RegionId, SystemNode, Thread, Unit,
 };
 
 use crate::mapping::OperandMap;
 use crate::options::{CallSiteEq, MergeOptions, SystemMergeMode};
 
+#[cfg(test)]
+mod oracle;
+
 /// The result of metadata integration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Integrated {
     /// The integrated metadata.
     pub metadata: Metadata,
@@ -59,40 +85,68 @@ pub fn integrate(operands: &[&Experiment], options: MergeOptions) -> Integrated 
 /// a metadata-only probe) integrate through this entry point. The
 /// batch engine's [`crate::batch::BatchOperand`] sources route here.
 pub fn integrate_metadata(operands: &[&Metadata], options: MergeOptions) -> Integrated {
-    // Fast path: all metadata identical, and no forced collapse that
-    // would restructure the system dimension.
-    if !operands.is_empty() {
-        let first = operands[0];
-        let all_equal = operands.iter().all(|md| *md == first);
-        let collapse_is_noop = options.system_mode != SystemMergeMode::Collapse
-            || (first.machines().len() <= 1 && first.nodes().len() <= 1);
-        if all_equal && collapse_is_noop {
-            let (nm, nc, nt) = first.shape();
-            return Integrated {
-                metadata: first.clone(),
-                maps: operands
-                    .iter()
-                    .map(|_| OperandMap::identity(nm, nc, nt))
-                    .collect(),
-            };
-        }
+    if let Some(same) = same_metadata(operands, options) {
+        return same;
     }
-
+    // An operand equal to an earlier one would find every key of its
+    // pass present already and reproduce that operand's map.
+    let twins: Vec<Option<usize>> = operands
+        .iter()
+        .enumerate()
+        .map(|(i, src)| operands[..i].iter().position(|earlier| earlier == src))
+        .collect();
+    let distinct = operands
+        .iter()
+        .zip(&twins)
+        .filter(|(_, twin)| twin.is_none())
+        .map(|(src, _)| *src);
+    let mut index = Index::new(options.call_site_eq, distinct);
     let mut md = Metadata::new();
     let mut maps: Vec<OperandMap> = Vec::with_capacity(operands.len());
-
-    // ---- metric and program dimensions: top-down structural merge ----
-    for src in operands {
-        let map = OperandMap {
-            metrics: merge_metric_forest(&mut md, src),
-            call_nodes: merge_call_forest(&mut md, src, options.call_site_eq),
-            ..OperandMap::default()
+    for (src, twin) in operands.iter().zip(twins) {
+        let map = match twin {
+            Some(j) => maps[j].clone(),
+            None => OperandMap {
+                metrics: index.merge_metrics(&mut md, src),
+                call_nodes: index.merge_call_nodes(&mut md, src),
+                ..OperandMap::default()
+            },
         };
         maps.push(map);
     }
+    integrate_system(md, maps, operands, options.system_mode)
+}
 
-    // ---- system dimension ----
-    let thread_keys = build_system(&mut md, operands, options.system_mode);
+/// Fast path: all metadata identical, and no forced collapse that
+/// would restructure the system dimension.
+fn same_metadata(operands: &[&Metadata], options: MergeOptions) -> Option<Integrated> {
+    let first = *operands.first()?;
+    let all_equal = operands.iter().all(|md| *md == first);
+    let collapse_is_noop = options.system_mode != SystemMergeMode::Collapse
+        || (first.machines().len() <= 1 && first.nodes().len() <= 1);
+    if !(all_equal && collapse_is_noop) {
+        return None;
+    }
+    let (nm, nc, nt) = first.shape();
+    Some(Integrated {
+        metadata: first.clone(),
+        maps: operands
+            .iter()
+            .map(|_| OperandMap::identity(nm, nc, nt))
+            .collect(),
+    })
+}
+
+/// Appends the system dimension and the topologies to `md`, whose
+/// metric and program dimensions are merged, and fills in each
+/// operand's thread map.
+fn integrate_system(
+    mut md: Metadata,
+    mut maps: Vec<OperandMap>,
+    operands: &[&Metadata],
+    mode: SystemMergeMode,
+) -> Integrated {
+    let thread_keys = build_system(&mut md, operands, mode);
     // Topologies: copy the first operand's topologies, remapping each
     // placement onto the integrated process table via the rank (the
     // system equality key). Later operands' topologies are ignored —
@@ -130,158 +184,143 @@ pub fn integrate_metadata(operands: &[&Metadata], options: MergeOptions) -> Inte
 }
 
 // ---------------------------------------------------------------------------
-// Metric dimension
+// Metric and program dimensions
 // ---------------------------------------------------------------------------
 
-fn merge_metric_forest(md: &mut Metadata, src: &Metadata) -> Vec<MetricId> {
-    let mut map = vec![MetricId::new(0); src.num_metrics()];
-    for &root in src.metric_roots() {
-        merge_metric_node(md, src, root, None, &mut map);
-    }
-    map
+/// Hash indexes over the integrated metric and program tables (see the
+/// module docs). `'a` is the lifetime of the operands' metadata, which
+/// every key's strings borrow from.
+struct Index<'a> {
+    call_site_eq: CallSiteEq,
+    metrics: HashMap<(Option<MetricId>, &'a str, Unit), MetricId>,
+    modules: HashMap<&'a str, ModuleId>,
+    regions: HashMap<(&'a str, &'a str), RegionId>,
+    /// File and line are `("", 0)` under [`CallSiteEq::CalleeOnly`].
+    call_sites: HashMap<(RegionId, &'a str, u32), CallSiteId>,
+    call_nodes: HashMap<(Option<CallNodeId>, CallSiteId), CallNodeId>,
 }
 
-fn merge_metric_node(
-    md: &mut Metadata,
-    src: &Metadata,
-    sid: MetricId,
-    new_parent: Option<MetricId>,
-    map: &mut [MetricId],
-) {
-    let sm = src.metric(sid);
-    let candidates: &[MetricId] = match new_parent {
-        Some(p) => md.metric_children(p),
-        None => md.metric_roots(),
-    };
-    let found = candidates
-        .iter()
-        .copied()
-        .find(|&c| md.metric(c).name == sm.name && md.metric(c).unit == sm.unit);
-    let nid = match found {
-        Some(nid) => nid,
-        None => md.add_metric(Metric {
-            name: sm.name.clone(),
-            unit: sm.unit,
-            description: sm.description.clone(),
-            parent: new_parent,
-        }),
-    };
-    map[sid.index()] = nid;
-    // When `sid` was appended as a new node, its children cannot match
-    // anything (the new node has no children yet), so the same recursion
-    // appends the whole subtree — the paper's subtree rule for free.
-    for &child in src.metric_children(sid) {
-        merge_metric_node(md, src, child, Some(nid), map);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Program dimension
-// ---------------------------------------------------------------------------
-
-fn region_eq(md: &Metadata, nid: RegionId, src: &Metadata, sid: RegionId) -> bool {
-    let nr = md.region(nid);
-    let sr = src.region(sid);
-    nr.name == sr.name && md.module(nr.module).name == src.module(sr.module).name
-}
-
-fn call_node_eq(
-    md: &Metadata,
-    nid: CallNodeId,
-    src: &Metadata,
-    sid: CallNodeId,
-    eq: CallSiteEq,
-) -> bool {
-    let ncs = md.call_site(md.call_node(nid).call_site);
-    let scs = src.call_site(src.call_node(sid).call_site);
-    let callee_eq = region_eq(md, ncs.callee, src, scs.callee);
-    match eq {
-        CallSiteEq::CalleeOnly => callee_eq,
-        CallSiteEq::Strict => callee_eq && ncs.file == scs.file && ncs.line == scs.line,
-    }
-}
-
-fn map_module(md: &mut Metadata, src: &Metadata, sid: ModuleId) -> ModuleId {
-    let sm = src.module(sid);
-    match md.find_module(&sm.name) {
-        Some(existing) => existing,
-        None => md.add_module(Module::new(sm.name.clone(), sm.path.clone())),
-    }
-}
-
-fn map_region(md: &mut Metadata, src: &Metadata, sid: RegionId) -> RegionId {
-    for i in 0..md.regions().len() {
-        let nid = RegionId::from_index(i);
-        if region_eq(md, nid, src, sid) {
-            return nid;
+impl<'a> Index<'a> {
+    /// Empty indexes with room for every entity of `operands`, the
+    /// most the integrated tables can hold, so that no index rehashes
+    /// while it fills.
+    fn new<'b>(call_site_eq: CallSiteEq, operands: impl Iterator<Item = &'b Metadata>) -> Self {
+        let mut size = [0usize; 5];
+        for md in operands {
+            size[0] += md.num_metrics();
+            size[1] += md.modules().len();
+            size[2] += md.regions().len();
+            size[3] += md.call_sites().len();
+            size[4] += md.num_call_nodes();
+        }
+        Self {
+            call_site_eq,
+            metrics: HashMap::with_capacity(size[0]),
+            modules: HashMap::with_capacity(size[1]),
+            regions: HashMap::with_capacity(size[2]),
+            call_sites: HashMap::with_capacity(size[3]),
+            call_nodes: HashMap::with_capacity(size[4]),
         }
     }
-    let sr = src.region(sid).clone();
-    let module = map_module(md, src, sr.module);
-    md.add_region(Region {
-        name: sr.name,
-        module,
-        kind: sr.kind,
-        begin_line: sr.begin_line,
-        end_line: sr.end_line,
-    })
-}
 
-fn map_call_site(md: &mut Metadata, src: &Metadata, sid: CallSiteId, eq: CallSiteEq) -> CallSiteId {
-    let scs = src.call_site(sid);
-    for i in 0..md.call_sites().len() {
-        let nid = CallSiteId::from_index(i);
-        let ncs = md.call_site(nid);
-        let callee_eq = region_eq(md, ncs.callee, src, scs.callee);
-        let equal = match eq {
-            CallSiteEq::CalleeOnly => callee_eq,
-            CallSiteEq::Strict => callee_eq && ncs.file == scs.file && ncs.line == scs.line,
+    /// Merges `src`'s metric forest into `md`; returns where each of
+    /// its metrics landed. A metric appended as new has no integrated
+    /// children yet, so its whole subtree is appended too — the
+    /// paper's subtree rule for free.
+    fn merge_metrics(&mut self, md: &mut Metadata, src: &'a Metadata) -> Vec<MetricId> {
+        let mut map = vec![MetricId::new(0); src.num_metrics()];
+        let mut stack: Vec<(MetricId, Option<MetricId>)> = src
+            .metric_roots()
+            .iter()
+            .rev()
+            .map(|&r| (r, None))
+            .collect();
+        while let Some((sid, parent)) = stack.pop() {
+            let sm = src.metric(sid);
+            let nid = *self
+                .metrics
+                .entry((parent, sm.name.as_str(), sm.unit))
+                .or_insert_with(|| {
+                    md.add_metric(Metric {
+                        name: sm.name.clone(),
+                        unit: sm.unit,
+                        description: sm.description.clone(),
+                        parent,
+                    })
+                });
+            map[sid.index()] = nid;
+            // Reversed, so the first child is popped (visited) first.
+            stack.extend(
+                src.metric_children(sid)
+                    .iter()
+                    .rev()
+                    .map(|&c| (c, Some(nid))),
+            );
+        }
+        map
+    }
+
+    /// Merges `src`'s call forest into `md`, exactly like
+    /// [`Index::merge_metrics`]; returns where each call node landed.
+    fn merge_call_nodes(&mut self, md: &mut Metadata, src: &'a Metadata) -> Vec<CallNodeId> {
+        let mut map = vec![CallNodeId::new(0); src.num_call_nodes()];
+        let mut stack: Vec<(CallNodeId, Option<CallNodeId>)> =
+            src.call_roots().iter().rev().map(|&r| (r, None)).collect();
+        while let Some((sid, parent)) = stack.pop() {
+            let call_site = self.call_site(md, src, src.call_node(sid).call_site);
+            let nid = *self
+                .call_nodes
+                .entry((parent, call_site))
+                .or_insert_with(|| md.add_call_node(CallNode { call_site, parent }));
+            map[sid.index()] = nid;
+            stack.extend(
+                src.call_node_children(sid)
+                    .iter()
+                    .rev()
+                    .map(|&c| (c, Some(nid))),
+            );
+        }
+        map
+    }
+
+    /// The integrated call site equal to `src`'s call site `sid`,
+    /// appended (with its callee) when there is none yet.
+    fn call_site(&mut self, md: &mut Metadata, src: &'a Metadata, sid: CallSiteId) -> CallSiteId {
+        let scs = src.call_site(sid);
+        let callee = self.region(md, src, scs.callee);
+        let key = match self.call_site_eq {
+            CallSiteEq::CalleeOnly => (callee, "", 0),
+            CallSiteEq::Strict => (callee, scs.file.as_str(), scs.line),
         };
-        if equal {
-            return nid;
-        }
-    }
-    let callee = map_region(md, src, scs.callee);
-    let (file, line) = (scs.file.clone(), scs.line);
-    md.add_call_site(CallSite { file, line, callee })
-}
-
-fn merge_call_forest(md: &mut Metadata, src: &Metadata, eq: CallSiteEq) -> Vec<CallNodeId> {
-    let mut map = vec![CallNodeId::new(0); src.num_call_nodes()];
-    for &root in src.call_roots() {
-        merge_call_node(md, src, root, None, eq, &mut map);
-    }
-    map
-}
-
-fn merge_call_node(
-    md: &mut Metadata,
-    src: &Metadata,
-    sid: CallNodeId,
-    new_parent: Option<CallNodeId>,
-    eq: CallSiteEq,
-    map: &mut [CallNodeId],
-) {
-    let candidates: Vec<CallNodeId> = match new_parent {
-        Some(p) => md.call_node_children(p).to_vec(),
-        None => md.call_roots().to_vec(),
-    };
-    let found = candidates
-        .into_iter()
-        .find(|&c| call_node_eq(md, c, src, sid, eq));
-    let nid = match found {
-        Some(nid) => nid,
-        None => {
-            let call_site = map_call_site(md, src, src.call_node(sid).call_site, eq);
-            md.add_call_node(CallNode {
-                call_site,
-                parent: new_parent,
+        *self.call_sites.entry(key).or_insert_with(|| {
+            md.add_call_site(CallSite {
+                file: scs.file.clone(),
+                line: scs.line,
+                callee,
             })
-        }
-    };
-    map[sid.index()] = nid;
-    for &child in src.call_node_children(sid).to_vec().iter() {
-        merge_call_node(md, src, child, Some(nid), eq, map);
+        })
+    }
+
+    /// The integrated region equal to `src`'s region `sid`, appended
+    /// (with its module, when that is new too) when there is none yet.
+    fn region(&mut self, md: &mut Metadata, src: &'a Metadata, sid: RegionId) -> RegionId {
+        let sr = src.region(sid);
+        let sm = src.module(sr.module);
+        *self
+            .regions
+            .entry((sr.name.as_str(), sm.name.as_str()))
+            .or_insert_with(|| {
+                let module = *self.modules.entry(sm.name.as_str()).or_insert_with(|| {
+                    md.add_module(Module::new(sm.name.clone(), sm.path.clone()))
+                });
+                md.add_region(Region {
+                    name: sr.name.clone(),
+                    module,
+                    kind: sr.kind,
+                    begin_line: sr.begin_line,
+                    end_line: sr.end_line,
+                })
+            })
     }
 }
 
@@ -642,6 +681,46 @@ mod tests {
         let b = mk(Unit::Bytes);
         let i = integrate(&[&a, &b], MergeOptions::default());
         assert_eq!(i.metadata.num_metrics(), 2);
+    }
+
+    #[test]
+    fn deep_call_chains_integrate_without_recursion() {
+        // A 100,000-deep chain against any other metadata takes the
+        // slow path; on a 256 KiB stack a recursive merge overflows.
+        fn chain(depth: usize, root_name: &str) -> Metadata {
+            let mut md = Metadata::new();
+            md.add_metric(Metric::root("time", Unit::Seconds, ""));
+            let m = md.add_module(Module::new("a.c", "/a.c"));
+            let mut parent = None;
+            for i in 0..depth {
+                let name = if i == 0 { root_name } else { "f" };
+                let callee = md.add_region(Region {
+                    name: name.into(),
+                    module: m,
+                    kind: RegionKind::Function,
+                    begin_line: 1,
+                    end_line: 1,
+                });
+                let call_site = md.add_call_site(CallSite {
+                    file: "a.c".into(),
+                    line: 1,
+                    callee,
+                });
+                parent = Some(md.add_call_node(CallNode { call_site, parent }));
+            }
+            md
+        }
+        let handle = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                let a = chain(100_000, "main");
+                let b = chain(3, "main");
+                let i = integrate_metadata(&[&b, &a], MergeOptions::default());
+                assert_eq!(i.metadata.num_call_nodes(), 100_000);
+                assert_eq!(i.maps[1].call_nodes[99_999].index(), 99_999);
+            })
+            .unwrap();
+        handle.join().expect("integration fits a small stack");
     }
 
     #[test]
