@@ -16,6 +16,9 @@ use std::time::{Duration, Instant};
 /// Upper bound on the request line plus headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
+/// Largest single socket read of a request body.
+const BODY_READ_BYTES: usize = 64 * 1024;
+
 /// An absolute time budget a request must finish within.
 ///
 /// [`Deadline::none`] never expires; everything else is an
@@ -198,21 +201,19 @@ pub fn read_request(
     }
     while body.len() < declared {
         arm_read(stream, total, "reading request body")?;
-        let n = match stream.read(&mut chunk) {
+        let len = body.len();
+        let want = body_room(&mut body, declared);
+        body.resize(len + want, 0);
+        let n = match stream.read(&mut body[len..]) {
             Ok(n) => n,
             Err(e) if timed_out(&e) && total.expired() => {
                 return Err(HttpError::Deadline("reading request body"));
             }
             Err(e) => return Err(HttpError::Io(e)),
         };
+        body.truncate(len + n);
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
-        if body.len() > declared {
-            return Err(HttpError::Malformed(
-                "more body bytes than content-length declares".into(),
-            ));
         }
     }
 
@@ -222,6 +223,23 @@ pub fn read_request(
         headers,
         body,
     })
+}
+
+/// How many bytes the next body read may take: the spare capacity,
+/// at most [`BODY_READ_BYTES`] and never past the declared length, so
+/// reads go straight into the body and never consume bytes beyond it.
+/// A full buffer first grows to twice its length, or by one read when
+/// that is more, capped at `declared`: a peer that declares a large
+/// body and sends little pins at most about twice what it has sent.
+fn body_room(body: &mut Vec<u8>, declared: usize) -> usize {
+    let len = body.len();
+    if body.capacity() == len {
+        let target = (2 * len).max(len + BODY_READ_BYTES).min(declared);
+        body.reserve_exact(target - len);
+    }
+    (body.capacity() - len)
+        .min(BODY_READ_BYTES)
+        .min(declared - len)
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -432,6 +450,76 @@ mod tests {
                 assert_eq!(found, vec![(first_complete, body_start)], "split {a}/{b}");
             }
         }
+    }
+
+    /// Body capacity stays within twice what arrived (or one read
+    /// past it) however the peer slices its bytes, and never exceeds
+    /// the declared length.
+    #[test]
+    fn body_capacity_tracks_what_arrived() {
+        for (declared, step) in [(10 << 20, 1), (10 << 20, 1000), (300_000, 7), (100, 1)] {
+            let mut body = Vec::new();
+            while body.len() < declared {
+                let room = body_room(&mut body, declared);
+                assert!(room > 0);
+                let len = body.len();
+                let bound = (2 * len).max(len + BODY_READ_BYTES).min(declared);
+                assert!(body.capacity() <= bound, "{} > {bound}", body.capacity());
+                let n = room.min(step);
+                body.resize(len + n, 0);
+            }
+            assert_eq!(body.len(), declared);
+        }
+    }
+
+    /// A request read over a real socket: an upload much larger than
+    /// one read arrives intact, and the over-length and oversized
+    /// rejections still fire.
+    #[test]
+    fn read_request_over_loopback() {
+        use std::net::TcpListener;
+
+        fn roundtrip(raw: Vec<u8>, max_body: usize) -> Result<Request, HttpError> {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let client = std::thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                for chunk in raw.chunks(3000) {
+                    s.write_all(chunk).unwrap();
+                }
+                // Keep the connection open until the server is done.
+                let mut sink = [0u8; 1];
+                let _ = s.read(&mut sink);
+            });
+            let (mut stream, _) = listener.accept().unwrap();
+            let deadline = Deadline::after_ms(10_000);
+            let got = read_request(&mut stream, max_body, &deadline, &deadline);
+            drop(stream);
+            client.join().unwrap();
+            got
+        }
+
+        let body: Vec<u8> = (0..1_840_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut raw = format!(
+            "PUT /experiments HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(&body);
+        let req = roundtrip(raw, 4 << 20).unwrap();
+        assert_eq!(req.body, body);
+
+        let raw = b"PUT /experiments HTTP/1.1\r\ncontent-length: 3\r\n\r\nabcde".to_vec();
+        assert!(matches!(roundtrip(raw, 1024), Err(HttpError::Malformed(_))));
+
+        let raw = b"PUT /experiments HTTP/1.1\r\ncontent-length: 2048\r\n\r\n".to_vec();
+        assert!(matches!(
+            roundtrip(raw, 1024),
+            Err(HttpError::BodyTooLarge {
+                declared: 2048,
+                limit: 1024
+            })
+        ));
     }
 
     #[test]
