@@ -9,7 +9,8 @@
 #           and check corpora
 #   store   recovery corpus, thread-count determinism, .cubec-vs-XML
 #           byte equality, pack/unpack round-trip, the speedup gate
-#   serve   /eval byte-equality with the CLI, caches, pre-flight, drain
+#   serve   /eval byte-equality with the CLI, caches, pre-flight,
+#           hostile uploads, drain
 #   chaos   fault-injected serving, fsck, the serve_chaos harness
 #   kernel  fused-kernel unit suite and the fused-vs-unfused
 #           differential gate (CLI and server)
@@ -450,6 +451,36 @@ stage_serve() {
     curl -sS -H 'Expect:' -X POST --data "$mean_expr" \
         "http://$addr/check" >"$sdir/check.fused.json"
     grep -q '"fused":{"instrs":' "$sdir/check.fused.json"
+
+    echo "== serve gate: hostile uploads are refused and the server stays up"
+    # PUT every file of the damaged and malformed corpora. Two kinds are
+    # valid experiments the server must accept: the repaired snapshots
+    # of the recovery corpus and the warning-only lint fixtures.
+    # Everything else must draw a 4xx, never a 5xx or an abort, and
+    # /healthz must answer after every upload.
+    for f in tests/fixtures/corrupt/* tests/fixtures/malformed/*; do
+        case "$f" in
+        tests/fixtures/malformed/w[0-9][0-9][0-9]_*.cube) want=2 ;;
+        tests/fixtures/corrupt/[ew][0-9][0-9][0-9]_*) want=4 ;;
+        tests/fixtures/corrupt/*.expect) want=2 ;;
+        *) want=4 ;;
+        esac
+        status="$(curl -sS -H 'Expect:' -X PUT --data-binary @"$f" \
+            -o "$sdir/hostile.json" -w '%{http_code}' "http://$addr/experiments" || true)"
+        case "$status" in
+        "$want"??) ;;
+        *)
+            echo "upload of $f answered '$status', expected ${want}xx:" >&2
+            cat "$sdir/hostile.json" >&2
+            exit 1
+            ;;
+        esac
+        health="$(curl -sS -o /dev/null -w '%{http_code}' "http://$addr/healthz" || true)"
+        if [ "$health" != "200" ]; then
+            echo "/healthz answered '$health' after uploading $f" >&2
+            exit 1
+        fi
+    done
 
     kill -TERM "$serve_pid"
     set +e
