@@ -70,7 +70,8 @@ bench-fused:
 
 ## Measurement session for the CI perf gate: runs the tracked benches
 ## (batch reduction, XML round-trip, parallel kernels incl. the
-## thread-scaling sweep, fused kernels) with the raw BENCH_JSON sink,
+## thread-scaling sweep, fused kernels, metadata integration) with the
+## raw BENCH_JSON sink,
 ## then assembles the BENCH_5.json metrics document at the repo root.
 ## ci/bench_gate.sh runs this 3 times and compares the per-metric
 ## median against the committed ci/bench_baseline.json.
@@ -78,6 +79,6 @@ bench-json:
 	rm -f target/bench_raw.tsv
 	BENCH_JSON=$(CURDIR)/target/bench_raw.tsv $(CARGO) bench -p cube-bench \
 		--bench batch_reduce --bench xml_roundtrip --bench par_elementwise \
-		--bench store_io --bench fused_kernels
+		--bench store_io --bench fused_kernels --bench metadata_merge
 	$(CARGO) run -q -p cube-bench --bin bench_gate -- \
 		assemble BENCH_5.json target/bench_raw.tsv

@@ -34,6 +34,27 @@ fn bench_integration(c: &mut Criterion) {
             },
         );
     }
+    // The serve_cold operand mix at the gen_corpus shape: six operands,
+    // alternating the two metadata families, so every call integrates
+    // on the slow path into the 1,593-node union.
+    let s = SyntheticShape {
+        metrics: 12,
+        call_nodes: 800,
+        threads: 16,
+    };
+    let mixed: Vec<_> = (0..6u64)
+        .map(|i| {
+            if i % 2 == 0 {
+                synthetic_experiment(s, i)
+            } else {
+                synthetic_overlapping(s, i)
+            }
+        })
+        .collect();
+    let refs: Vec<&cube_model::Experiment> = mixed.iter().collect();
+    group.bench_with_input(BenchmarkId::new("six_mixed", 800), &800, |bench, _| {
+        bench.iter(|| integrate(black_box(&refs), MergeOptions::default()))
+    });
     // n-ary integration: a 10-run series with equal metadata exercises
     // the fast path.
     let s = SyntheticShape {
