@@ -146,7 +146,11 @@ fn corrupt_store_fixtures_report_the_rule_they_are_named_after() {
         .filter(|p| p.extension().is_some_and(|x| x == "cubec"))
         .filter(|p| {
             let stem = p.file_stem().unwrap().to_string_lossy();
-            stem.len() > 4 && stem.as_bytes()[4] == b'_' && stem.starts_with(['e', 'w'])
+            let b = stem.as_bytes();
+            b.len() > 4
+                && matches!(b[0], b'e' | b'w')
+                && b[1..4].iter().all(u8::is_ascii_digit)
+                && b[4] == b'_'
         })
         .collect();
     named.sort();
