@@ -204,22 +204,18 @@ impl<'a> Index<'a> {
     /// Empty indexes with room for every entity of `operands`, the
     /// most the integrated tables can hold, so that no index rehashes
     /// while it fills.
-    fn new<'b>(call_site_eq: CallSiteEq, operands: impl Iterator<Item = &'b Metadata>) -> Self {
-        let mut size = [0usize; 5];
-        for md in operands {
-            size[0] += md.num_metrics();
-            size[1] += md.modules().len();
-            size[2] += md.regions().len();
-            size[3] += md.call_sites().len();
-            size[4] += md.num_call_nodes();
-        }
+    fn new<'b>(
+        call_site_eq: CallSiteEq,
+        operands: impl Iterator<Item = &'b Metadata> + Clone,
+    ) -> Self {
+        let room = |size: fn(&Metadata) -> usize| operands.clone().map(size).sum();
         Self {
             call_site_eq,
-            metrics: HashMap::with_capacity(size[0]),
-            modules: HashMap::with_capacity(size[1]),
-            regions: HashMap::with_capacity(size[2]),
-            call_sites: HashMap::with_capacity(size[3]),
-            call_nodes: HashMap::with_capacity(size[4]),
+            metrics: HashMap::with_capacity(room(Metadata::num_metrics)),
+            modules: HashMap::with_capacity(room(|md| md.modules().len())),
+            regions: HashMap::with_capacity(room(|md| md.regions().len())),
+            call_sites: HashMap::with_capacity(room(|md| md.call_sites().len())),
+            call_nodes: HashMap::with_capacity(room(Metadata::num_call_nodes)),
         }
     }
 

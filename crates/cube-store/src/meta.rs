@@ -277,8 +277,9 @@ fn decode_region_kind(code: u8) -> Result<RegionKind, StoreError> {
 /// binary format admits trees up to `max_depth - 1` levels — exactly
 /// the ones the XML reader accepts — and the recursive tree walks
 /// downstream (the XML writer, display) stay bounded on either format.
-/// A parent at or after its child (a forward reference) is not part of
-/// the forest; [`Metadata::validate`] reports it.
+/// An entity whose parent comes at or after it (a forward reference)
+/// is outside the forest: no root reaches it, so no tree walk visits
+/// it, and it counts as depth 1 here.
 fn check_tree_depth(
     parents: impl Iterator<Item = Option<usize>>,
     limits: &ReadLimits,
