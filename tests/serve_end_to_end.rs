@@ -343,3 +343,58 @@ fn deep_call_tree_upload_is_refused_and_the_server_stays_up() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A severity-first `.cube` followed by `depth` nested `<x>` elements:
+/// the reader must defer the severity section and still enforce the
+/// nesting-depth limit on everything after it.
+fn severity_first_deep_nesting(depth: usize) -> String {
+    let minimal = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/valid/minimal.cube"),
+    )
+    .unwrap();
+    let start = minimal.find("  <severity>").unwrap();
+    let end = minimal.find("</cube>").unwrap();
+    let severity = &minimal[start..end];
+    let open = minimal.find("<metrics>").unwrap() - 2;
+    format!(
+        "{}{severity}{}  {}{}\n</cube>\n",
+        &minimal[..open],
+        &minimal[open..start],
+        "<x>".repeat(depth),
+        "</x>".repeat(depth)
+    )
+}
+
+/// Regression: a 1.4 MB `.cube` whose `<severity>` precedes its
+/// metadata, followed by 200,000 nested elements, used to reach a
+/// reader without depth limits whose recursive tree drop overflowed a
+/// worker's stack and aborted the server. It must draw a 4xx, and the
+/// server must stay up.
+#[test]
+fn severity_first_deep_upload_is_refused_and_the_server_stays_up() {
+    let dir = workdir("sevfirst");
+    let server = cube_serve::start(
+        cube_serve::ServeConfig {
+            workers: 1,
+            ..cube_serve::ServeConfig::default()
+        },
+        &dir.join("repo"),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+
+    let doc = severity_first_deep_nesting(200_000);
+    let reply = request(addr, "PUT", "/experiments", doc.as_bytes());
+    assert!(
+        (400..500).contains(&reply.status),
+        "{} {}",
+        reply.status,
+        reply.text()
+    );
+    let health = request(addr, "GET", "/healthz", b"");
+    assert_eq!(health.status, 200, "{}", health.text());
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
