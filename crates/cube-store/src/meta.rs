@@ -277,9 +277,11 @@ fn decode_region_kind(code: u8) -> Result<RegionKind, StoreError> {
 /// binary format admits trees up to `max_depth - 1` levels — exactly
 /// the ones the XML reader accepts — and the recursive tree walks
 /// downstream (the XML writer, display) stay bounded on either format.
-/// An entity whose parent comes at or after it (a forward reference)
-/// is outside the forest: no root reaches it, so no tree walk visits
-/// it, and it counts as depth 1 here.
+///
+/// A parent must come before its child, as the XML reader requires
+/// too. A forward reference is refused as a format error, so every
+/// parent chain strictly decreases and the chain walks of validation
+/// and lint stay linear.
 fn check_tree_depth(
     parents: impl Iterator<Item = Option<usize>>,
     limits: &ReadLimits,
@@ -290,7 +292,12 @@ fn check_tree_depth(
     for (i, parent) in parents.enumerate() {
         let d = match parent {
             Some(p) if p < i => depth[p] + 1,
-            _ => 1,
+            Some(p) => {
+                return Err(StoreError::format(format!(
+                    "{what} {i} appears before its parent {p}"
+                )))
+            }
+            None => 1,
         };
         if d > max_tree {
             return Err(StoreError::Limit {
@@ -309,13 +316,14 @@ fn check_tree_depth(
 
 /// Decodes METADATA-section bytes back into metadata and provenance.
 ///
-/// Dangling cross-references (a region pointing past the module table,
-/// a cycle in a parent chain) are *not* rejected here — they surface
-/// through [`Metadata::validate`] exactly like in the XML reader, so
-/// both formats share one diagnosis path. Dictionary references and
-/// enum codes *are* checked, because nothing downstream would, and so
-/// are the depths of the metric and call trees, which downstream tree
-/// walks would otherwise have to survive at any depth.
+/// Dangling cross-references (a region pointing past the module table)
+/// are *not* rejected here — they surface through
+/// [`Metadata::validate`] exactly like in the XML reader, so both
+/// formats share one diagnosis path. Dictionary references and enum
+/// codes *are* checked, because nothing downstream would, and so are
+/// the metric and call trees: each parent must precede its child, as
+/// in the XML reader, and the depth is bounded, since downstream tree
+/// walks would otherwise have to survive any depth.
 pub fn decode_metadata(
     bytes: &[u8],
     limits: &ReadLimits,
@@ -436,7 +444,7 @@ pub fn decode_metadata(
             .iter()
             .map(|c| c.parent.map(CallNodeId::index)),
         limits,
-        "call",
+        "call node",
     )?;
 
     let n = d.count("machine count")?;

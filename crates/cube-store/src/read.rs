@@ -892,6 +892,74 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// An experiment whose metrics (or call nodes) form an `n`-long
+    /// chain in which each entity names the next one as its parent.
+    /// Assembled unchecked: the model's builder refuses such chains.
+    fn forward_chain(n: u32, metrics: bool) -> Experiment {
+        use cube_model::{
+            CallNode, CallNodeId, CallSite, Machine, Metadata, Metric, MetricId, Module, Process,
+            Provenance, Region, Severity, SystemNode, Thread,
+        };
+        let next = |i: u32| (i + 1 < n).then_some(i + 1);
+        let mut md = Metadata::new();
+        let metric_count = if metrics { n } else { 1 };
+        for i in 0..metric_count {
+            md.add_metric(Metric {
+                name: format!("m{i}"),
+                unit: Unit::Seconds,
+                description: String::new(),
+                parent: next(i).filter(|_| metrics).map(MetricId::new),
+            });
+        }
+        let module = md.add_module(Module::new("a.c", "/a.c"));
+        let callee = md.add_region(Region {
+            name: "f".into(),
+            module,
+            kind: RegionKind::Function,
+            begin_line: 1,
+            end_line: 9,
+        });
+        let call_site = md.add_call_site(CallSite {
+            file: "a.c".into(),
+            line: 1,
+            callee,
+        });
+        let call_count = if metrics { 1 } else { n };
+        for i in 0..call_count {
+            md.add_call_node(CallNode {
+                call_site,
+                parent: next(i).filter(|_| !metrics).map(CallNodeId::new),
+            });
+        }
+        let mach = md.add_machine(Machine::new("m"));
+        let node = md.add_node(SystemNode::new("n", mach));
+        let rank = md.add_process(Process::new("rank 0", 0, node));
+        md.add_thread(Thread::new("thread 0", 0, rank));
+        let severity = Severity::zeros(metric_count as usize, call_count as usize, 1);
+        Experiment::new_unchecked(md, severity, Provenance::original("forward chain"))
+    }
+
+    #[test]
+    fn forward_parents_are_refused() {
+        let d = tmpdir("forward");
+        for metrics in [false, true] {
+            let packed = write_store(&forward_chain(80_000, metrics));
+            let Err(err) = read_store(&packed, &ReadLimits::default()) else {
+                panic!("read_store accepted a parent after its child");
+            };
+            assert!(matches!(err, StoreError::Format { .. }), "{err}");
+            assert!(
+                err.to_string().contains("appears before its parent"),
+                "{err}"
+            );
+            let p = d.join("forward.cubec");
+            std::fs::write(&p, &packed).unwrap();
+            let codes = crate::lint::lint_file(&p).codes();
+            assert_eq!(codes.len(), 1);
+            assert_eq!(codes[0].as_str(), "E103");
+        }
+    }
+
     fn is_depth_limit(err: &StoreError) -> bool {
         matches!(
             err,
