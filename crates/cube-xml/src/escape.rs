@@ -4,12 +4,10 @@
 //! additionally accepts decimal (`&#10;`) and hexadecimal (`&#x1F;`)
 //! character references, which other CUBE producers may emit.
 //!
-//! Each operation comes in two flavors: the `String`-returning
-//! functions always allocate, while the `_cow` variants return the
-//! input slice unchanged when nothing needs rewriting — the common
-//! case for CUBE files, whose names and severity rows rarely contain
-//! markup characters. The streaming reader and writer are built on the
-//! `_cow` variants so untouched data is never copied.
+//! Each operation returns the input slice unchanged when nothing needs
+//! rewriting — the common case for CUBE files, whose names and
+//! severity rows rarely contain markup characters — so the streaming
+//! reader and writer never copy untouched data.
 
 use std::borrow::Cow;
 
@@ -30,11 +28,6 @@ pub fn escape_text_cow(s: &str) -> Cow<'_, str> {
         }
     }
     Cow::Owned(out)
-}
-
-/// Escapes text content (`&`, `<`, `>`).
-pub fn escape_text(s: &str) -> String {
-    escape_text_cow(s).into_owned()
 }
 
 /// Escapes an attribute value (text entities plus both quote kinds, and
@@ -59,13 +52,6 @@ pub fn escape_attr_cow(s: &str) -> Cow<'_, str> {
         }
     }
     Cow::Owned(out)
-}
-
-/// Escapes an attribute value (text entities plus both quote kinds, and
-/// the whitespace characters that attribute-value normalization would
-/// otherwise fold into spaces).
-pub fn escape_attr(s: &str) -> String {
-    escape_attr_cow(s).into_owned()
 }
 
 /// Resolves entity and character references in raw text, borrowing the
@@ -118,11 +104,6 @@ pub fn unescape_cow(s: &str, at: Position) -> Result<Cow<'_, str>, XmlError> {
     Ok(Cow::Owned(out))
 }
 
-/// Resolves entity and character references in raw text.
-pub fn unescape(s: &str, at: Position) -> Result<String, XmlError> {
-    unescape_cow(s, at).map(Cow::into_owned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,38 +114,38 @@ mod tests {
     #[test]
     fn escape_text_basics() {
         assert_eq!(
-            escape_text("a < b && c > d"),
+            escape_text_cow("a < b && c > d"),
             "a &lt; b &amp;&amp; c &gt; d"
         );
-        assert_eq!(escape_text("plain"), "plain");
+        assert_eq!(escape_text_cow("plain"), "plain");
     }
 
     #[test]
     fn escape_attr_quotes_and_whitespace() {
-        assert_eq!(escape_attr(r#"say "hi"'"#), "say &quot;hi&quot;&apos;");
-        assert_eq!(escape_attr("a\nb\tc\r"), "a&#10;b&#9;c&#13;");
+        assert_eq!(escape_attr_cow(r#"say "hi"'"#), "say &quot;hi&quot;&apos;");
+        assert_eq!(escape_attr_cow("a\nb\tc\r"), "a&#10;b&#9;c&#13;");
     }
 
     #[test]
     fn unescape_predefined() {
         assert_eq!(
-            unescape("a &lt; b &amp;&amp; c &gt; &quot;d&quot; &apos;", AT).unwrap(),
+            unescape_cow("a &lt; b &amp;&amp; c &gt; &quot;d&quot; &apos;", AT).unwrap(),
             "a < b && c > \"d\" '"
         );
     }
 
     #[test]
     fn unescape_character_references() {
-        assert_eq!(unescape("&#65;&#x42;&#x63;", AT).unwrap(), "ABc");
-        assert_eq!(unescape("newline:&#10;", AT).unwrap(), "newline:\n");
+        assert_eq!(unescape_cow("&#65;&#x42;&#x63;", AT).unwrap(), "ABc");
+        assert_eq!(unescape_cow("newline:&#10;", AT).unwrap(), "newline:\n");
     }
 
     #[test]
     fn unescape_rejects_bad_references() {
-        assert!(unescape("&unknown;", AT).is_err());
-        assert!(unescape("&#xZZ;", AT).is_err());
-        assert!(unescape("&#1114112;", AT).is_err()); // beyond char::MAX
-        assert!(unescape("&amp", AT).is_err()); // unterminated
+        assert!(unescape_cow("&unknown;", AT).is_err());
+        assert!(unescape_cow("&#xZZ;", AT).is_err());
+        assert!(unescape_cow("&#1114112;", AT).is_err()); // beyond char::MAX
+        assert!(unescape_cow("&amp", AT).is_err()); // unterminated
     }
 
     #[test]
@@ -195,8 +176,16 @@ mod tests {
             "ünïcødé 🚀",
         ];
         for s in samples {
-            assert_eq!(unescape(&escape_text(s), AT).unwrap(), s, "text: {s:?}");
-            assert_eq!(unescape(&escape_attr(s), AT).unwrap(), s, "attr: {s:?}");
+            assert_eq!(
+                unescape_cow(&escape_text_cow(s), AT).unwrap(),
+                s,
+                "text: {s:?}"
+            );
+            assert_eq!(
+                unescape_cow(&escape_attr_cow(s), AT).unwrap(),
+                s,
+                "attr: {s:?}"
+            );
         }
     }
 }

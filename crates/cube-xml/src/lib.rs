@@ -8,18 +8,16 @@
 //! * [`escape`] — entity escaping/unescaping for text and attributes;
 //! * [`lexer`] — a streaming tokenizer for the XML subset the format
 //!   needs (declaration, elements, attributes, text, comments, CDATA);
-//! * [`dom`] — a small document tree with well-formedness checks and a
-//!   pretty-printing writer;
 //! * [`reader`] — the streaming [`reader::CubeReader`]: lexer events
 //!   assembled directly into a [`cube_model::Experiment`], with
-//!   severity rows parsed straight into the dense buffer;
+//!   severity rows parsed straight into the dense buffer, whatever the
+//!   order of the sections;
 //! * [`writer`] — the streaming [`writer::CubeWriter`]: an experiment
 //!   emitted to any [`std::io::Write`] without an element tree;
 //! * [`format`](mod@format) — the CUBE format layer: [`format::write_experiment`]
 //!   and [`format::read_experiment`] convert between
 //!   [`cube_model::Experiment`] and `.cube` files on top of the
-//!   streaming pair (the DOM pipeline stays available as
-//!   [`format::read_experiment_dom`] / [`format::write_experiment_dom`]).
+//!   streaming pair, the crate's one reader and one writer.
 //!
 //! The format itself — element inventory, dense-id rules, the
 //! zero-omission convention, topologies, provenance — is specified
@@ -63,7 +61,6 @@
 //! read back as zero severity, mirroring the zero-extension rule of the
 //! algebra.
 
-pub mod dom;
 pub mod error;
 pub mod escape;
 pub mod faults;
@@ -75,7 +72,6 @@ pub mod lint;
 pub mod reader;
 pub mod writer;
 
-pub use dom::{Document, Element, XmlNode};
 pub use error::{LimitKind, XmlError};
 pub use footer::FooterStatus;
 pub use format::{
