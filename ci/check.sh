@@ -453,13 +453,15 @@ stage_serve() {
     grep -q '"fused":{"instrs":' "$sdir/check.fused.json"
 
     echo "== serve gate: hostile uploads are refused and the server stays up"
-    # PUT every file of the damaged and malformed corpora. Two kinds are
-    # valid experiments the server must accept: the repaired snapshots
-    # of the recovery corpus and the warning-only lint fixtures.
-    # Everything else must draw a 4xx, never a 5xx or an abort, and
-    # /healthz must answer after every upload.
-    for f in tests/fixtures/corrupt/* tests/fixtures/malformed/*; do
+    # PUT every file of the damaged and malformed corpora, and the valid
+    # fixtures (one of which stores <severity> first). Three kinds are
+    # valid experiments the server must accept: the valid fixtures, the
+    # repaired snapshots of the recovery corpus and the warning-only
+    # lint fixtures. Everything else must draw a 4xx, never a 5xx or an
+    # abort, and /healthz must answer after every upload.
+    for f in tests/fixtures/corrupt/* tests/fixtures/malformed/* tests/fixtures/valid/*.cube; do
         case "$f" in
+        tests/fixtures/valid/*) want=2 ;;
         tests/fixtures/malformed/w[0-9][0-9][0-9]_*.cube) want=2 ;;
         tests/fixtures/corrupt/[ew][0-9][0-9][0-9]_*) want=4 ;;
         tests/fixtures/corrupt/*.expect) want=2 ;;
